@@ -35,7 +35,7 @@ from .braid import (
 )
 from .checks import SUITE_NAMES, SuiteReport, run_suite, run_suites
 from .errors import BoundError, ParseError, PreconditionError, SkeinforgeError
-from .homfly import DEFAULT_MAX_CROSSINGS, clear_cache, homfly, unlink_value
+from .engine import DEFAULT_MAX_CROSSINGS, clear_cache, homfly, unlink_value
 from .oracle import homfly_reference
 from .rings import (
     CONWAY,

@@ -13,6 +13,7 @@ Text grammar::
     word    := nat ":" letter*          e.g.  "3: s1 s2^-1 t1"
     letter  := ("s" | "t") nat ("^-1")?
     link    := word ("|" "o" "=" nat*)?  optional label permutation
+    nat     := [0-9]+                     ASCII digits only
 
 Everything here is immutable; operations return new values.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "reorder",
     "permute_bits",
     "all_patterns",
+    "closure_components",
     "components_unionfind",
     "X",
     "Y",
@@ -96,29 +98,9 @@ class SingularBraidWord:
     def is_classical(self) -> bool:
         return all(kind != SING for kind, _ in self.letters)
 
-    def permutation(self) -> tuple[int, ...]:
-        """Bottom-to-top strand permutation; entry s-1 is where strand s ends."""
-        arr = list(range(self.strands))  # arr[position] = strand, 0-based
-        for _, i in self.letters:
-            arr[i - 1], arr[i] = arr[i], arr[i - 1]
-        out = [0] * self.strands
-        for position, strand in enumerate(arr):
-            out[strand] = position
-        return tuple(out)
-
     def components(self) -> int:
         """Number of components of the braid closure."""
-        perm = self.permutation()
-        seen = [False] * self.strands
-        count = 0
-        for s in range(self.strands):
-            if seen[s]:
-                continue
-            count += 1
-            while not seen[s]:
-                seen[s] = True
-                s = perm[s]
-        return count
+        return closure_components(self.strands, self.letters)
 
     def render(self) -> str:
         head = f"{self.strands}:"
@@ -128,6 +110,27 @@ class SingularBraidWord:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def closure_components(strands: int, letters: Sequence[Letter]) -> int:
+    """Components of the closure of ``letters`` on ``strands`` strands.
+
+    Counts the cycles of the strand permutation.  Takes raw letters so
+    the engine can call it without building (and re-validating) a word.
+    """
+    arr = list(range(strands))  # arr[position] = strand, 0-based
+    for _, i in letters:
+        arr[i - 1], arr[i] = arr[i], arr[i - 1]
+    seen = [False] * strands
+    count = 0
+    for s in range(strands):
+        if seen[s]:
+            continue
+        count += 1
+        while not seen[s]:
+            seen[s] = True
+            s = arr[s]
+    return count
 
 
 def _letter_str(letter: Letter) -> str:
@@ -177,8 +180,15 @@ class OrderedSingularLink:
         return self.render()
 
 
-_HEAD_RE = re.compile(r"(\d+):")
-_LETTER_RE = re.compile(r"([st])(\d+)(\^-1)?")
+# Numbers are ASCII digits only: \d and str.isdigit also match other
+# scripts' digits (read as values) and superscripts like "²" (which int()
+# rejects).
+_HEAD_RE = re.compile(r"([0-9]+):")
+_LETTER_RE = re.compile(r"([st])([0-9]+)(\^-1)?")
+
+
+def _is_nat(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
 
 
 def parse_link(text: str) -> OrderedSingularLink:
@@ -193,7 +203,7 @@ def parse_link(text: str) -> OrderedSingularLink:
     m = _HEAD_RE.fullmatch(tok)
     if m is None:
         # Allow the colon as a separate token.
-        if tok.isdigit() and rest and rest[0][0] == ":":
+        if _is_nat(tok) and rest and rest[0][0] == ":":
             m_strands = int(tok)
             rest = rest[1:]
         else:
@@ -231,7 +241,7 @@ def parse_link(text: str) -> OrderedSingularLink:
             raise ParseError("label suffix must look like '| o = 2 1 3'", pos)
         labels = []
         for tok, off in suffix[2:]:
-            if not tok.isdigit():
+            if not _is_nat(tok):
                 raise ParseError(f"labels must be positive integers, got {tok!r}", off)
             labels.append(int(tok))
         d = word.sing_count
@@ -355,7 +365,11 @@ def permute_bits(bits: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
 
 
 def components_unionfind(word: SingularBraidWord) -> int:
-    """Component count by union-find over strand arcs (cross-check)."""
+    """Component count by union-find over strand arcs.
+
+    An independent cross-check of :func:`closure_components`; the tests
+    compare the two.
+    """
     n, m = word.strands, len(word.letters)
     parent = list(range(n * (m + 1)))
 

@@ -10,7 +10,6 @@ modes (skein, lemma22, specialize) run those modes natively.
 from __future__ import annotations
 
 import random
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from itertools import product
 
@@ -23,10 +22,11 @@ from .braid import (
     SingularBraidWord,
     connected_sum,
     permute_bits,
+    random_word,
     reorder,
     split_union,
 )
-from .homfly import homfly
+from .engine import homfly
 from .oracle import homfly_reference
 from .rings import CONWAY, GENERIC, gf, specialize_scalar
 from .skein import (
@@ -114,30 +114,24 @@ def _assemble(rng: random.Random, strands: int, pieces) -> tuple:
     return tuple(links)
 
 
-def _random_link(
-    rng: random.Random,
-    *,
-    max_strands: int = 4,
-    max_classical: int = 6,
-    max_sing: int = 2,
-) -> OrderedSingularLink:
-    strands = rng.randint(2, max_strands)
-    sing = rng.randint(0, max_sing)
-    classical = rng.randint(0, max_classical)
-    letters = [(SING, rng.randint(1, strands - 1)) for _ in range(sing)]
-    letters += [
-        (rng.choice((POS, NEG)), rng.randint(1, strands - 1)) for _ in range(classical)
-    ]
-    rng.shuffle(letters)
-    labels = list(range(1, sing + 1))
-    rng.shuffle(labels)
-    return OrderedSingularLink(SingularBraidWord(strands, tuple(letters)), tuple(labels))
+def _summands(rng: random.Random) -> tuple:
+    """Two small links to combine, with up to two and one singular crossings."""
+    return tuple(
+        random_word(
+            rng,
+            strands=rng.randint(2, 3),
+            classical=rng.randint(0, 4),
+            sing=rng.randint(0, max_sing),
+            shuffle_labels=True,
+        )
+        for max_sing in (2, 1)
+    )
 
 
 # -- individual suites --------------------------------------------------
 
 
-def suite_skein(seed: int, cases: int = 200, pool: Executor | None = None) -> SuiteReport:
+def suite_skein(seed: int, cases: int = 200) -> SuiteReport:
     """x inv(L0) = t^(-1) inv(L+) - t inv(L-) at one varied crossing, all modes."""
     rng = random.Random(seed)
     for case in range(cases):
@@ -157,9 +151,9 @@ def suite_skein(seed: int, cases: int = 200, pool: Executor | None = None) -> Su
             ],
         )
         for ring in _MODES:
-            e_plus = invariant_ordered(l_plus, ring, pool=pool)
-            e_minus = invariant_ordered(l_minus, ring, pool=pool)
-            e_zero = invariant_ordered(l_zero, ring, pool=pool)
+            e_plus = invariant_ordered(l_plus, ring)
+            e_minus = invariant_ordered(l_minus, ring)
+            e_zero = invariant_ordered(l_zero, ring)
             lhs = e_zero.scale(ring.x)
             rhs = e_plus.scale(ring.t_inv) - e_minus.scale(ring.t)
             if lhs != rhs or project_unordered(lhs) != project_unordered(rhs):
@@ -243,7 +237,7 @@ MARKOV_MOVES = (
 )
 
 
-def suite_markov(seed: int, cases: int = 200, pool: Executor | None = None) -> SuiteReport:
+def suite_markov(seed: int, cases: int = 200) -> SuiteReport:
     """Ordered coordinates are unchanged by braid-presentation moves."""
     rng = random.Random(seed)
     total = 0
@@ -251,12 +245,8 @@ def suite_markov(seed: int, cases: int = 200, pool: Executor | None = None) -> S
         for _ in range(cases):
             total += 1
             a, b = _move_pair(rng, move)
-            if invariant_ordered(a, GENERIC, pool=pool) != invariant_ordered(
-                b, GENERIC, pool=pool
-            ):
-                return SuiteReport(
-                    "markov", total, 1, seed, f"{move}: {a}  vs  {b}"
-                )
+            if invariant_ordered(a, GENERIC) != invariant_ordered(b, GENERIC):
+                return SuiteReport("markov", total, 1, seed, f"{move}: {a}  vs  {b}")
     return SuiteReport("markov", total, 0, seed)
 
 
@@ -280,7 +270,7 @@ def _conjugated(rng: random.Random, link: OrderedSingularLink) -> OrderedSingula
     return OrderedSingularLink(SingularBraidWord(n, tuple(letters)), tuple(ordering))
 
 
-def suite_star(seed: int, cases: int = 100, pool: Executor | None = None) -> SuiteReport:
+def suite_star(seed: int, cases: int = 100) -> SuiteReport:
     """Connected sum multiplies coordinates; the unknot is the unit.
 
     Also resums through a rotated and conjugated presentation of the
@@ -289,35 +279,31 @@ def suite_star(seed: int, cases: int = 100, pool: Executor | None = None) -> Sui
     """
     rng = random.Random(seed)
     for case in range(cases):
-        l1 = _random_link(rng, max_strands=3, max_classical=4, max_sing=2)
-        l2 = _random_link(rng, max_strands=3, max_classical=4, max_sing=1)
-        e1 = invariant_ordered(l1, GENERIC, pool=pool)
-        e2 = invariant_ordered(l2, GENERIC, pool=pool)
+        l1, l2 = _summands(rng)
+        e1 = invariant_ordered(l1, GENERIC)
+        e2 = invariant_ordered(l2, GENERIC)
         joined = connected_sum(l1, l2)
-        e_joined = invariant_ordered(joined, GENERIC, pool=pool)
+        e_joined = invariant_ordered(joined, GENERIC)
         ok = e_joined == star(e1, e2)
-        ok = ok and invariant(joined, GENERIC, pool=pool) == project_unordered(
-            e1
-        ) * project_unordered(e2)
-        ok = ok and invariant_ordered(connected_sum(UNKNOT, l1), GENERIC, pool=pool) == e1
+        ok = ok and invariant(joined, GENERIC) == project_unordered(e1) * project_unordered(e2)
+        ok = ok and invariant_ordered(connected_sum(UNKNOT, l1), GENERIC) == e1
         resummed = connected_sum(_conjugated(rng, l1), l2)
-        ok = ok and invariant_ordered(resummed, GENERIC, pool=pool) == e_joined
+        ok = ok and invariant_ordered(resummed, GENERIC) == e_joined
         if not ok:
             return SuiteReport("star", case + 1, 1, seed, f"L1 = {l1}, L2 = {l2}")
     return SuiteReport("star", cases, 0, seed)
 
 
-def suite_lemma22(seed: int, cases: int = 100, pool: Executor | None = None) -> SuiteReport:
+def suite_lemma22(seed: int, cases: int = 100) -> SuiteReport:
     """(t^(-1)-t) inv(sum) = x inv(stacked); the stacked product dies at t=1."""
     rng = random.Random(seed)
     for case in range(cases):
-        l1 = _random_link(rng, max_strands=3, max_classical=4, max_sing=2)
-        l2 = _random_link(rng, max_strands=3, max_classical=4, max_sing=1)
-        joined = invariant(connected_sum(l1, l2), GENERIC, pool=pool)
-        stacked = invariant(split_union(l1, l2), GENERIC, pool=pool)
+        l1, l2 = _summands(rng)
+        joined = invariant(connected_sum(l1, l2), GENERIC)
+        stacked = invariant(split_union(l1, l2), GENERIC)
         if joined.scale(GENERIC.t_inv - GENERIC.t) != stacked.scale(GENERIC.x):
             return SuiteReport("lemma22", case + 1, 1, seed, f"L1 = {l1}, L2 = {l2}")
-        conway_stacked = invariant(split_union(l1, l2), CONWAY, pool=pool)
+        conway_stacked = invariant(split_union(l1, l2), CONWAY)
         if not conway_stacked.is_zero:
             return SuiteReport(
                 "lemma22", case + 1, 1, seed,
@@ -326,35 +312,47 @@ def suite_lemma22(seed: int, cases: int = 100, pool: Executor | None = None) -> 
     return SuiteReport("lemma22", cases, 0, seed)
 
 
-def suite_ordering(seed: int, cases: int = 100, pool: Executor | None = None) -> SuiteReport:
+def suite_ordering(seed: int, cases: int = 100) -> SuiteReport:
     """Relabeling permutes coordinates and leaves the projection alone."""
     rng = random.Random(seed)
     for case in range(cases):
-        link = _random_link(rng, max_strands=3, max_classical=4, max_sing=3)
+        link = random_word(
+            rng,
+            strands=rng.randint(2, 3),
+            classical=rng.randint(0, 4),
+            sing=rng.randint(0, 3),
+            shuffle_labels=True,
+        )
         w = list(range(1, link.d + 1))
         rng.shuffle(w)
         w = tuple(w)
-        base = invariant_ordered(link, GENERIC, pool=pool)
-        moved = invariant_ordered(reorder(link, w), GENERIC, pool=pool)
+        base = invariant_ordered(link, GENERIC)
+        moved = invariant_ordered(reorder(link, w), GENERIC)
         expected = {permute_bits(bits, w): c for bits, c in base.coords.items()}
         if moved.coords != expected or project_unordered(moved) != project_unordered(base):
             return SuiteReport("ordering", case + 1, 1, seed, f"L = {link}, w = {w}")
     return SuiteReport("ordering", cases, 0, seed)
 
 
-def suite_specialize(seed: int, cases: int = 100, pool: Executor | None = None) -> SuiteReport:
+def suite_specialize(seed: int, cases: int = 100) -> SuiteReport:
     """Generic invariants specialize to the natively computed ones."""
     rng = random.Random(seed)
     targets = (CONWAY, gf(5))
     for case in range(cases):
-        link = _random_link(rng, max_strands=3, max_classical=5, max_sing=2)
-        generic = invariant(link, GENERIC, pool=pool)
+        link = random_word(
+            rng,
+            strands=rng.randint(2, 3),
+            classical=rng.randint(0, 5),
+            sing=rng.randint(0, 2),
+            shuffle_labels=True,
+        )
+        generic = invariant(link, GENERIC)
         for target in targets:
             mapped = SkeinPolynomial(
                 target,
                 {key: specialize_scalar(c, target) for key, c in generic.coeffs.items()},
             )
-            native = invariant(link, target, pool=pool)
+            native = invariant(link, target)
             if mapped != native:
                 return SuiteReport(
                     "specialize", case + 1, 1, seed, f"L = {link}, target {target.name}"
@@ -362,7 +360,7 @@ def suite_specialize(seed: int, cases: int = 100, pool: Executor | None = None) 
     return SuiteReport("specialize", cases, 0, seed)
 
 
-def suite_oracle(seed: int = 0, pool: Executor | None = None) -> SuiteReport:
+def suite_oracle(seed: int = 0) -> SuiteReport:
     """Engine equals the naive expansion on every small classical closure."""
     count = 0
     for strands in (1, 2, 3):
@@ -387,18 +385,18 @@ _SUITES = {
     "lemma22": suite_lemma22,
     "ordering": suite_ordering,
     "specialize": suite_specialize,
-    "oracle": lambda seed, pool=None: suite_oracle(seed, pool=pool),
+    "oracle": suite_oracle,
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def run_suite(name: str, seed: int, pool: Executor | None = None) -> SuiteReport:
+def run_suite(name: str, seed: int) -> SuiteReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](seed, pool=pool)
+    return _SUITES[name](seed)
 
 
-def run_suites(names, seed: int, pool: Executor | None = None) -> list[SuiteReport]:
+def run_suites(names, seed: int) -> list[SuiteReport]:
     expanded = list(_SUITES) if "all" in names else list(names)
-    return [run_suite(name, seed, pool) for name in expanded]
+    return [run_suite(name, seed) for name in expanded]

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
 from .braid import parse_link
 from .checks import SUITE_NAMES, run_suites
 from .errors import BoundError, ParseError, PreconditionError
-from .homfly import DEFAULT_MAX_CROSSINGS, homfly
+from .engine import DEFAULT_MAX_CROSSINGS, homfly
 from .rings import Ring
 from .skein import (
     DEFAULT_MAX_SING,
@@ -38,7 +36,6 @@ class RunConfig:
     """Resolved options shared by all subcommands."""
 
     ring: Ring
-    jobs: int = 1
     crossing_bound: int = DEFAULT_MAX_CROSSINGS
     sing_bound: int = DEFAULT_MAX_SING
     output: str = "text"
@@ -46,8 +43,6 @@ class RunConfig:
     ordered: bool = False
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if self.crossing_bound < 1 or self.sing_bound < 1:
             raise ValueError("bounds must be at least 1")
 
@@ -69,29 +64,12 @@ def _ring_from_spec(text: str) -> Ring:
     raise ParseError(f"unknown ring {text!r}; use generic, conway, or gf:<p>")
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("SKEINFORGE_JOBS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ring",
         default="generic",
         metavar="MODE",
         help="coefficients: generic, conway, or gf:<p> (default: generic)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        metavar="N",
-        help="worker processes for resolution cubes (default: $SKEINFORGE_JOBS or 1)",
     )
     parser.add_argument(
         "--max-crossings",
@@ -148,7 +126,6 @@ def _config_from_args(args) -> RunConfig:
     try:
         return RunConfig(
             ring=_ring_from_spec(args.ring),
-            jobs=args.jobs,
             crossing_bound=args.max_crossings,
             sing_bound=args.max_sing,
             output="json" if args.json else "text",
@@ -157,12 +134,6 @@ def _config_from_args(args) -> RunConfig:
         )
     except ValueError as exc:
         raise ParseError(str(exc))
-
-
-def _with_pool(config: RunConfig):
-    if config.jobs > 1:
-        return ProcessPoolExecutor(max_workers=config.jobs)
-    return None
 
 
 def _coeff_obj(key, scalar) -> dict:
@@ -190,18 +161,12 @@ def _invariant_payload(element: OrderedSkeinElement, poly: SkeinPolynomial, orde
 def _cmd_invariant(args) -> int:
     config = _config_from_args(args)
     link = parse_link(args.word)
-    pool = _with_pool(config)
-    try:
-        element = invariant_ordered(
-            link,
-            config.ring,
-            max_sing=config.sing_bound,
-            max_crossings=config.crossing_bound,
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    element = invariant_ordered(
+        link,
+        config.ring,
+        max_sing=config.sing_bound,
+        max_crossings=config.crossing_bound,
+    )
     poly = project_unordered(element)
     if config.output == "json":
         print(json.dumps(_invariant_payload(element, poly, config.ordered)))
@@ -229,12 +194,7 @@ def _cmd_homfly(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _config_from_args(args)
-    pool = _with_pool(config)
-    try:
-        reports = run_suites([args.suite], config.seed, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    reports = run_suites([args.suite], config.seed)
     if config.output == "json":
         print(
             json.dumps(

@@ -17,7 +17,7 @@ functions of the word, so concurrent use is safe.
 
 from __future__ import annotations
 
-from .braid import POS, SingularBraidWord
+from .braid import POS, SingularBraidWord, closure_components
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring
 
@@ -131,25 +131,6 @@ def _min_rotation(letters: tuple) -> tuple:
     return min(letters[k:] + letters[:k] for k in range(len(letters)))
 
 
-def _components(n: int, letters: tuple) -> int:
-    arr = list(range(n))
-    for _, i in letters:
-        arr[i - 1], arr[i] = arr[i], arr[i - 1]
-    perm = [0] * n
-    for position, strand in enumerate(arr):
-        perm[strand] = position
-    seen = [False] * n
-    count = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        count += 1
-        while not seen[s]:
-            seen[s] = True
-            s = perm[s]
-    return count
-
-
 def _first_bad(n: int, letters: tuple) -> int | None:
     """Index of the first crossing met under-strand-first, or None if descending."""
     m = len(letters)
@@ -199,7 +180,7 @@ def _closure_value(n0: int, letters0: tuple, ring: Ring, cache: dict) -> Laurent
             if value is None:
                 k = _first_bad(n, letters)
                 if k is None:
-                    value = ring.delta_pow(_components(n, letters) - 1)
+                    value = ring.delta_pow(closure_components(n, letters) - 1)
                     cache[key] = value
                 else:
                     kind, i = letters[k]

@@ -75,18 +75,6 @@ class BaseRing:
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
 
-    @classmethod
-    def integers(cls) -> "BaseRing":
-        return cls()
-
-    @classmethod
-    def prime_field(cls, p: int) -> "BaseRing":
-        return cls(p)
-
-    @property
-    def kind(self) -> str:
-        return "integers" if self.p is None else "prime-field"
-
     def __str__(self) -> str:
         return "ZZ" if self.p is None else f"GF({self.p})"
 
@@ -146,10 +134,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0): 1}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -212,19 +196,6 @@ class LaurentPoly:
                 if c:
                     out[k] = c
         return LaurentPoly._raw(self.base, out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined for general polynomials")
-        result = LaurentPoly._raw(self.base, {(0, 0): 1})
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
 
     # -- comparison and display -------------------------------------
 
@@ -369,9 +340,6 @@ class Ring:
         if self.conway:
             e_t = 0
         return LaurentPoly(self.base, [((e_t, e_x), coeff)])
-
-    def const(self, c: int) -> LaurentPoly:
-        return self.monomial(c)
 
     def poly(self, terms: Mapping | Iterable) -> LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms

@@ -16,12 +16,11 @@ ever appear.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from typing import Mapping
 
-from .braid import OrderedSingularLink, SingularBraidWord, all_patterns, resolve_all
+from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
-from .homfly import DEFAULT_MAX_CROSSINGS, homfly
+from .engine import DEFAULT_MAX_CROSSINGS, homfly
 from .rings import LaurentPoly, LocalizedScalar, Ring, _mono_str
 
 __all__ = [
@@ -275,21 +274,12 @@ def _bits_to_index(bits: tuple[int, ...]) -> int:
     return idx
 
 
-def _cube_task(args) -> LaurentPoly:
-    # Top-level so process pools can pickle it; rings are re-interned per worker.
-    p, conway, strands, letters, max_crossings = args
-    ring = Ring.get(p, conway)
-    word = SingularBraidWord(strands, letters)
-    return homfly(word, ring, max_crossings=max_crossings)
-
-
 def eval_vector(
     link: OrderedSingularLink,
     ring: Ring,
     *,
     max_sing: int = DEFAULT_MAX_SING,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    pool: Executor | None = None,
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """Polynomial value of every full resolution, keyed by bit pattern."""
     d = link.d
@@ -299,15 +289,10 @@ def eval_vector(
         raise BoundError(
             f"{len(link.word.letters)} letters exceeds the crossing bound {max_crossings}"
         )
-    patterns = list(all_patterns(d))
-    words = [resolve_all(link, bits) for bits in patterns]
-    if pool is not None and len(words) >= 8:
-        p, conway = ring.key
-        tasks = [(p, conway, w.strands, w.letters, max_crossings) for w in words]
-        values = list(pool.map(_cube_task, tasks, chunksize=max(1, len(tasks) // 32)))
-    else:
-        values = [homfly(w, ring, max_crossings=max_crossings) for w in words]
-    return dict(zip(patterns, values))
+    return {
+        bits: homfly(resolve_all(link, bits), ring, max_crossings=max_crossings)
+        for bits in all_patterns(d)
+    }
 
 
 def _axis_pass(vec: list, d: int, diag, off) -> None:
@@ -369,12 +354,9 @@ def invariant_ordered(
     *,
     max_sing: int = DEFAULT_MAX_SING,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    pool: Executor | None = None,
 ) -> OrderedSkeinElement:
     """Coordinates of the link in the degree-d basis; an isotopy invariant."""
-    values = eval_vector(
-        link, ring, max_sing=max_sing, max_crossings=max_crossings, pool=pool
-    )
+    values = eval_vector(link, ring, max_sing=max_sing, max_crossings=max_crossings)
     return solve_coordinates(values, ring)
 
 
@@ -406,11 +388,8 @@ def invariant(
     *,
     max_sing: int = DEFAULT_MAX_SING,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    pool: Executor | None = None,
 ) -> SkeinPolynomial:
     """The polynomial invariant; independent of how singular crossings are labeled."""
     return project_unordered(
-        invariant_ordered(
-            link, ring, max_sing=max_sing, max_crossings=max_crossings, pool=pool
-        )
+        invariant_ordered(link, ring, max_sing=max_sing, max_crossings=max_crossings)
     )

@@ -1,7 +1,14 @@
 """The command-line surface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import skeinforge
 from skeinforge.cli import main
 
 
@@ -51,6 +58,17 @@ def test_exit_code_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "word", ["2: t1 | o = \u00b2", "\u00b2 : s1", "\u0662: s\u0661", "2: t1 | o = \u0661"]
+)
+def test_non_ascii_digits_are_parse_errors(capsys, word):
+    # Superscripts and Arabic-Indic digits pass str.isdigit but are not
+    # part of the grammar.
+    code, out, err = run(capsys, "invariant", word)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
 def test_exit_code_bounds(capsys):
     code, _, err = run(capsys, "homfly", "--max-crossings", "2", "2: s1 s1 s1")
     assert code == 3 and "bound" in err
@@ -66,6 +84,7 @@ def test_exit_code_precondition(capsys):
 def test_usage_error_is_exit_2(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys)[0] == 2
+    assert run(capsys, "invariant", "--jobs", "2", "2: t1")[0] == 2
 
 
 # -- JSON --------------------------------------------------------------------
@@ -127,18 +146,20 @@ def test_gf_ring_flag(capsys):
     assert out == "t^(-2) Y + 4 t^(-1) x X\n"
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SKEINFORGE_JOBS", "1")
-    code, out, _ = run(capsys, "invariant", "2: t1")
-    assert (code, out) == (0, "X\n")
-
-
-def test_jobs_flag_parallel(capsys):
-    code, out, _ = run(capsys, "invariant", "--jobs", "2", "3: t1 t2 s2 t2")
-    assert code == 0
-    assert out == run(capsys, "invariant", "3: t1 t2 s2 t2")[1]
-
-
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.startswith("skeinforge ")
+
+
+def test_import_leaves_out_multiprocessing():
+    # A fresh interpreter: modules imported by other tests must not count.
+    src = str(Path(skeinforge.__file__).resolve().parents[1])
+    probe = "import sys, skeinforge.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"

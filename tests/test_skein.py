@@ -1,7 +1,6 @@
 """Resolution cubes, coordinate solving, and the polynomial invariant."""
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -178,7 +177,7 @@ def test_project_unordered():
     two = OrderedSkeinElement(
         R, 2, {(0, 1): R.scalar_one, (1, 0): R.scalar_one}
     )
-    assert project_unordered(two) == SkeinPolynomial(R, {(1, 1): R.scalar(R.const(2))})
+    assert project_unordered(two) == SkeinPolynomial(R, {(1, 1): R.scalar(R.monomial(2))})
 
 
 def test_project_is_an_algebra_map():
@@ -228,11 +227,3 @@ def test_skein_polynomial_strings():
     assert str(invariant(UNKNOT, R)) == "1"
     assert str(invariant(connected_sum(X, Y), R)) == "X Y"
     assert str(SkeinPolynomial(R, {})) == "0"
-
-
-def test_pool_matches_serial():
-    link = parse_link("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2")
-    serial = invariant_ordered(link, R)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        parallel = invariant_ordered(link, R, pool=pool)
-    assert parallel == serial
