@@ -51,7 +51,6 @@ from .rings import (
 )
 from .skein import (
     DEFAULT_MAX_SING,
-    EvalMatrix,
     OrderedSkeinElement,
     SkeinPolynomial,
     apply_cube,
@@ -102,7 +101,6 @@ __all__ = [
     "homfly_reference",
     "DEFAULT_MAX_CROSSINGS",
     "DEFAULT_MAX_SING",
-    "EvalMatrix",
     "OrderedSkeinElement",
     "SkeinPolynomial",
     "eval_vector",

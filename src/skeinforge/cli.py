@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .braid import parse_link
+from .braid import _is_nat, parse_link
 from .checks import SUITE_NAMES, run_suites
 from .errors import BoundError, ParseError, PreconditionError
 from .engine import DEFAULT_MAX_CROSSINGS, homfly
@@ -24,6 +24,7 @@ from .skein import (
     DEFAULT_MAX_SING,
     OrderedSkeinElement,
     SkeinPolynomial,
+    invariant,
     invariant_ordered,
     project_unordered,
 )
@@ -53,15 +54,20 @@ def _ring_from_spec(text: str) -> Ring:
     if text == "conway":
         return Ring.get(conway=True)
     if text.startswith("gf:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
+        if not _is_nat(text[3:]):
             raise ParseError(f"bad prime in ring spec {text!r}")
         try:
-            return Ring.get(p)
+            return Ring.get(int(text[3:]))
         except ValueError as exc:
             raise ParseError(str(exc))
     raise ParseError(f"unknown ring {text!r}; use generic, conway, or gf:<p>")
+
+
+def _nat_arg(text: str) -> int:
+    # int() would also take signs, spaces and any script's digits.
+    if not _is_nat(text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -73,21 +79,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-crossings",
-        type=int,
+        type=_nat_arg,
         default=DEFAULT_MAX_CROSSINGS,
         metavar="N",
         help=f"refuse words with more crossings (default: {DEFAULT_MAX_CROSSINGS})",
     )
     parser.add_argument(
         "--max-sing",
-        type=int,
+        type=_nat_arg,
         default=DEFAULT_MAX_SING,
         metavar="N",
         help=f"refuse links with more singular crossings (default: {DEFAULT_MAX_SING})",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument(
-        "--seed", type=int, default=0, metavar="S", help="seed for check suites"
+        "--seed", type=_nat_arg, default=0, metavar="S", help="seed for check suites"
     )
 
 
@@ -141,12 +147,12 @@ def _coeff_obj(key, scalar) -> dict:
     return {"i": i, "j": j, "num": str(scalar.num), "dpow": scalar.dpow}
 
 
-def _invariant_payload(element: OrderedSkeinElement, poly: SkeinPolynomial, ordered: bool) -> dict:
+def _invariant_payload(d: int, poly: SkeinPolynomial, element: OrderedSkeinElement | None) -> dict:
     payload = {
-        "d": element.d,
+        "d": d,
         "coeffs": [_coeff_obj(key, poly.coeffs[key]) for key in sorted(poly.coeffs)],
     }
-    if ordered:
+    if element is not None:
         payload["ordered"] = [
             {
                 "eps": "".join(str(b) for b in bits),
@@ -161,18 +167,18 @@ def _invariant_payload(element: OrderedSkeinElement, poly: SkeinPolynomial, orde
 def _cmd_invariant(args) -> int:
     config = _config_from_args(args)
     link = parse_link(args.word)
-    element = invariant_ordered(
-        link,
-        config.ring,
-        max_sing=config.sing_bound,
-        max_crossings=config.crossing_bound,
-    )
-    poly = project_unordered(element)
+    bounds = {"max_sing": config.sing_bound, "max_crossings": config.crossing_bound}
+    element = None
+    if config.ordered:
+        element = invariant_ordered(link, config.ring, **bounds)
+        poly = project_unordered(element)
+    else:
+        poly = invariant(link, config.ring, **bounds)
     if config.output == "json":
-        print(json.dumps(_invariant_payload(element, poly, config.ordered)))
+        print(json.dumps(_invariant_payload(link.d, poly, element)))
     else:
         print(poly)
-        if config.ordered:
+        if element is not None:
             print(element)
     return 0
 

@@ -30,7 +30,9 @@ _skein_coeffs: dict[tuple, tuple] = {}
 
 
 def clear_cache() -> None:
+    """Drop every memoized value the engine holds, for all ring modes."""
     _caches.clear()
+    _skein_coeffs.clear()
 
 
 def unlink_value(ring: Ring, k: int) -> LaurentPoly:

@@ -279,8 +279,11 @@ class Ring:
     """A computation mode: coefficient base plus the optional t = 1 collapse.
 
     Interns the symbols t, x and their inverses, the two-component
-    unlink value delta = x^(-1)(t^(-1) - t), and the localization
-    denominator D, so the rest of the package never rebuilds them.
+    unlink value delta = x^(-1)(t^(-1) - t), the localization
+    denominator D, and the entries of D times the inverse of the
+    resolution matrix [[delta, 1], [1, delta]]: ``inv_diag`` =
+    x(t^(-1) - t) on the diagonal and ``inv_off`` = -x^2 off it, so the
+    rest of the package never rebuilds them.
     Use :meth:`Ring.get` to share instances.
     """
 
@@ -297,6 +300,8 @@ class Ring:
         "x_inv",
         "delta",
         "denom",
+        "inv_diag",
+        "inv_off",
         "_delta_pows",
         "_denom_pows",
         "scalar_zero",
@@ -321,6 +326,8 @@ class Ring:
         self.x_inv = self.monomial(1, 0, -1)
         self.delta = self.x_inv * (self.t_inv - self.t)
         self.denom = (self.t_inv - self.t - self.x) * (self.t_inv - self.t + self.x)
+        self.inv_diag = self.x * (self.t_inv - self.t)
+        self.inv_off = -(self.x * self.x)
         self._delta_pows = [self.one]
         self._denom_pows = [self.one]
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)

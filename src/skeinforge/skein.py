@@ -8,10 +8,28 @@ indexed by {0,1}^d through a Kronecker power of the fixed 2x2 matrix
     M = [[delta, 1], [1, delta]],      det M = D / x^2,
 
 so a is recovered by applying M^(-1) along each of the d tensor axes.
-Summing coordinates over patterns with equal zero/one counts projects
-onto the commutative polynomial invariant in the two generators X and
-Y.  Coordinates live in the localization at D; no other denominators
-ever appear.
+Since M^(-1) = (1/D) [[A, B], [B, A]] with A = x(t^(-1) - t) and
+B = -x^2, the axes run on plain Laurent numerators and every coordinate
+is one numerator over D^d, put in normal form once at the end.
+Coordinates live in the localization at D; no other denominators ever
+appear.
+
+Summing coordinates over patterns with d - j zeros and j ones projects
+onto the coefficient of X^(d-j) Y^j of the commutative polynomial
+invariant.  That sum never needs the 2^d coordinates: M^(-1) tensored d
+times commutes with permuting the tensor factors, so the projection
+sees the values only through the weight sums S_w = sum of p_eps over
+|eps| = w, and
+
+    coefficient of X^(d-j) Y^j = D^(-d) sum_w [z^j] (A + B z)^(d-w) (B + A z)^w S_w.
+
+This is exact.  Over D^d, the coordinate at eta receives p_eps times
+the product over k of A where eta_k = eps_k and B where they differ.
+Marking each one bit of eta with z, these products summed over all eta
+give (A + B z) for each zero bit of eps and (B + A z) for each one bit,
+so the z^j coefficient is their sum over the coordinates of weight j.
+Only the grouping of exact sums changes, so the result is the
+projection of the solved coordinates, term for term.
 """
 
 from __future__ import annotations
@@ -25,7 +43,6 @@ from .rings import LaurentPoly, LocalizedScalar, Ring, _mono_str
 
 __all__ = [
     "DEFAULT_MAX_SING",
-    "EvalMatrix",
     "OrderedSkeinElement",
     "SkeinPolynomial",
     "eval_vector",
@@ -38,37 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SING = 10
-
-
-class EvalMatrix:
-    """The 2x2 resolution matrix for one singular crossing, and its inverse.
-
-    Row r, column e: the value contribution of resolving a generator of
-    kind e (0 for X, 1 for Y) by move r.  The inverse has entries
-    x(t^(-1)-t)/D on the diagonal and -x^2/D off it.
-    """
-
-    __slots__ = ("ring", "m", "m_inv")
-
-    def __init__(self, ring: Ring):
-        one = ring.scalar_one
-        diag = ring.scalar(ring.delta)
-        self.ring = ring
-        self.m = ((diag, one), (one, diag))
-        a = ring.scalar(ring.x * (ring.t_inv - ring.t), 1)
-        b = ring.scalar(-(ring.x * ring.x), 1)
-        self.m_inv = ((a, b), (b, a))
-
-
-_eval_matrices: dict[tuple, EvalMatrix] = {}
-
-
-def _matrix(ring: Ring) -> EvalMatrix:
-    mat = _eval_matrices.get(ring.key)
-    if mat is None:
-        mat = EvalMatrix(ring)
-        _eval_matrices[ring.key] = mat
-    return mat
 
 
 class OrderedSkeinElement:
@@ -267,13 +253,6 @@ def _poly_term_str(scalar: LocalizedScalar, basis: str) -> tuple[str, str]:
 # -- the resolution cube ----------------------------------------------
 
 
-def _bits_to_index(bits: tuple[int, ...]) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
-
-
 def eval_vector(
     link: OrderedSingularLink,
     ring: Ring,
@@ -307,14 +286,29 @@ def _axis_pass(vec: list, d: int, diag, off) -> None:
             vec[base | stride] = off * v0 + diag * v1
 
 
+def _numerators(ring: Ring, values: list) -> tuple[list[LaurentPoly], int]:
+    """Numerators of polynomials or localized scalars over one D^k, and k."""
+    pairs = []
+    for value in values:
+        if isinstance(value, LaurentPoly):
+            pairs.append((value, 0))
+        elif value.ring.key != ring.key:
+            raise ValueError(f"ring modes differ: {value.ring.name} vs {ring.name}")
+        else:
+            pairs.append((value.num, value.dpow))
+    k = max((dpow for _, dpow in pairs), default=0)
+    return [num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs], k
+
+
 def solve_coordinates(
     values: Mapping[tuple[int, ...], LaurentPoly | LocalizedScalar], ring: Ring
 ) -> OrderedSkeinElement:
     """Coordinates a with (M tensor ... tensor M) a = values.
 
     ``values`` must hold all 2^d patterns of one length d.  Each axis is
-    inverted independently, O(d 2^d) scalar operations in total, and the
-    result's denominators never exceed D^d.
+    inverted independently on numerators, O(d 2^d) polynomial operations
+    with no division, and each coordinate is put in normal form once:
+    over a common D^k of the values, its denominator is D^(d + k).
     """
     if not values:
         raise ValueError("values must contain the empty pattern at least")
@@ -323,26 +317,18 @@ def solve_coordinates(
         len(bits) != d or any(b not in (0, 1) for b in bits) for bits in values
     ):
         raise ValueError(f"need all {1 << d} patterns of length {d}")
-    vec: list[LocalizedScalar] = [ring.scalar_zero] * (1 << d)
-    for bits, value in values.items():
-        if isinstance(value, LaurentPoly):
-            value = ring.scalar(value)
-        vec[_bits_to_index(bits)] = value
-    (a, b) = _matrix(ring).m_inv[0]
-    _axis_pass(vec, d, a, b)
-    coords = {bits: vec[_bits_to_index(bits)] for bits in all_patterns(d)}
+    nums, k = _numerators(ring, [values[bits] for bits in all_patterns(d)])
+    _axis_pass(nums, d, ring.inv_diag, ring.inv_off)
+    coords = {bits: ring.scalar(num, d + k) for bits, num in zip(all_patterns(d), nums)}
     return OrderedSkeinElement(ring, d, coords)
 
 
 def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedScalar]:
     """Forward map: resolution values of an element given by coordinates."""
     ring, d = element.ring, element.d
-    vec = [ring.scalar_zero] * (1 << d)
-    for bits, c in element.coords.items():
-        vec[_bits_to_index(bits)] = c
-    (diag, off) = _matrix(ring).m[0]
-    _axis_pass(vec, d, diag, off)
-    return {bits: vec[_bits_to_index(bits)] for bits in all_patterns(d)}
+    nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
+    _axis_pass(nums, d, ring.delta, ring.one)
+    return {bits: ring.scalar(num, k) for bits, num in zip(all_patterns(d), nums)}
 
 
 # -- invariants --------------------------------------------------------
@@ -382,6 +368,24 @@ def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
     return SkeinPolynomial(element.ring, out)
 
 
+def _zmul(ring: Ring, p: list, q: list) -> list:
+    """Product of two polynomials in z given as coefficient lists."""
+    out = [ring.zero] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, e in enumerate(q):
+            out[i + j] = out[i + j] + c * e
+    return out
+
+
+def _weight_kernel(ring: Ring, d: int) -> list[list[LaurentPoly]]:
+    """Row w lists the z^j coefficients of (A + B z)^(d - w) (B + A z)^w."""
+    powers = [[ring.one]]  # powers[k] holds the coefficients of (A + B z)^k
+    for _ in range(d):
+        powers.append(_zmul(ring, powers[-1], [ring.inv_diag, ring.inv_off]))
+    # (B + A z)^w is (A + B z)^w with its coefficients reversed.
+    return [_zmul(ring, powers[d - w], powers[w][::-1]) for w in range(d + 1)]
+
+
 def invariant(
     link: OrderedSingularLink,
     ring: Ring,
@@ -389,7 +393,30 @@ def invariant(
     max_sing: int = DEFAULT_MAX_SING,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> SkeinPolynomial:
-    """The polynomial invariant; independent of how singular crossings are labeled."""
-    return project_unordered(
-        invariant_ordered(link, ring, max_sing=max_sing, max_crossings=max_crossings)
-    )
+    """The polynomial invariant; independent of how singular crossings are labeled.
+
+    Computed from the d + 1 weight sums S_w of the resolution values, with
+    no 2^d solve: the coefficient of X^(d-j) Y^j is
+
+        D^(-d) sum_w [z^j] (A + B z)^(d-w) (B + A z)^w S_w,
+
+    where A = x(t^(-1) - t) and B = -x^2 are the entries of D M^(-1),
+    so it costs O(d^2) polynomial products and d + 1 normal forms.  It is
+    exact: the z^j coefficient of that product is the sum, over the
+    coordinates of weight j, of the A/B factors pattern eps of weight w
+    sends them (see the module docstring), so only the grouping of exact
+    sums differs from ``project_unordered(solve_coordinates(...))``.
+    That path stays as the reference: ``--ordered`` output needs the
+    coordinates, and the tests compare the two.
+    """
+    values = eval_vector(link, ring, max_sing=max_sing, max_crossings=max_crossings)
+    d = link.d
+    classes: list[list] = [[] for _ in range(d + 1)]
+    for bits, value in values.items():
+        classes[sum(bits)].extend(value.terms.items())
+    nums = [ring.zero] * (d + 1)
+    for terms, row in zip(classes, _weight_kernel(ring, d)):
+        weight_sum = LaurentPoly(ring.base, terms)
+        for j, c in enumerate(row):
+            nums[j] = nums[j] + c * weight_sum
+    return SkeinPolynomial(ring, {(d - j, j): ring.scalar(num, d) for j, num in enumerate(nums)})

@@ -1,5 +1,6 @@
 """The command-line surface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,25 @@ def test_non_ascii_digits_are_parse_errors(capsys, word):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ring", "gf:\u0665"],
+        ["--ring", "gf:+5"],
+        ["--ring", "gf: 5"],
+        ["--max-sing", "\u0663"],
+        ["--max-sing", "+3"],
+        ["--max-crossings", " 24"],
+        ["--seed", "-1"],
+    ],
+)
+def test_numeric_flags_take_ascii_digits_only(capsys, argv):
+    # int() accepts signs, spaces and any script's digits; the flags do not.
+    code, out, err = run(capsys, "invariant", *argv, "2: t1")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+
+
 def test_exit_code_bounds(capsys):
     code, _, err = run(capsys, "homfly", "--max-crossings", "2", "2: s1 s1 s1")
     assert code == 3 and "bound" in err
@@ -126,6 +146,43 @@ def test_check_json(capsys):
     assert report["suite"] == "star"
     assert report["failures"] == 0
     assert report["seed"] == 9
+
+
+# SHA-256 of the stdout of every invariant output form, made with the
+# unordered answer taken as the projection of the solved coordinates.
+PINNED_INVARIANT_DIGESTS = [
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "generic", (), "e49d7f4997cc403bbf46df065dcdd7cdde55869c54ea13037925d7806c2c83e3"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "generic", ("--ordered",), "09046c7efb7eee22c9451884c265a32ff6d89217bb14bce3577ff22a1759a372"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "generic", ("--json",), "1c24c717c3ba6e391e1a90d2d238d633b9ffbe8a0e5e0eac5149d6653b6e3f73"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "generic", ("--json", "--ordered"), "d4b3e4fddf58670b9512bc96285b94f736fcddf6004da290fc67cb3840bb4b17"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "conway", (), "6a673b355608dbcfa87f17c83a0c3daf9a1d967f56ebe6e5e7b866e502c73af7"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "conway", ("--ordered",), "7fe37ff1b5f406502bba0be77e658ef116161d6f72ea1ca8aa5dce450befed32"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "conway", ("--json",), "6acef8fe3e06d57f514bbbebd2abb5a12a78e5c58c0c0812594e74cf15c1aac4"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "conway", ("--json", "--ordered"), "0379e1a5e32b7d8087afc935af17cc795c36e9291d743cb19404dec26e0b7e2b"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:5", (), "b284bfa00e1785033cdf44bd3254d87c44191f7851f7082f4c2255ce11ca9721"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:5", ("--ordered",), "7518083f6c34531e9b898067d4a1d58337123aa63c8f05a68c59d998c86ddde4"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:5", ("--json",), "18f13d26c928d2690d115b0ad445066512db4c48f54b18bebf024446f4eaa9f7"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:5", ("--json", "--ordered"), "b47194d3c024fbe4448fd933408e68cc34a9f3a258efef9f9e1d18bd4a951eb0"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "generic", (), "f1afa89c047b7ff1e8dd124f9f1cd29194215b5eb9a6ce68c6cd1ff0975168d6"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "generic", ("--ordered",), "1ba9448fce2320e0b59053637930f96f0b41d9d84adeb899d8be65dff947d0da"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "generic", ("--json",), "00052ec5ce368b4fb8a3690622ba97a7d712e9f3c6889a99a6f6a82e58037f79"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "generic", ("--json", "--ordered"), "59cd16448508e6d763f7e451ea66ec2ab065f19648829ecc1527a48364a76ce7"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "conway", (), "aa74e3f85072800af047490134c9dfecfb5bcaa7b6d498c9043ca9bce9466c86"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "conway", ("--ordered",), "a20b79e24b4ecfe371f4e832bc6065b6a8cf80fcdf9c31dd4f5f39c2c84939af"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "conway", ("--json",), "d9aa2724397be4f736a5cf9395610a0b46aa1f186ed54d6c7ba5fafcf70a4a78"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "conway", ("--json", "--ordered"), "3a29ef299cfebe5d6fc725d290971cf949f71cabc75a7272152ab9ea32815dca"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", (), "1c6c5377466128cd56a9598c477fabf49f65803fadf0caeff4e7f7cb2df009a9"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", ("--ordered",), "57c2f92e4e70af77a87a392c5ef32545d17a0f1a8f88c7980b8de56f2aca4668"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", ("--json",), "25d1a06cf40e265a62bda11a71828fee0a163086eda72cd1482c71dff62b4448"),
+    ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", ("--json", "--ordered"), "203397ed05a351757ac5bcdc97463461ed1b8d1289e77886f15eb1fb5a4a1a22"),
+]
+
+
+@pytest.mark.parametrize("word,ring,flags,digest", PINNED_INVARIANT_DIGESTS)
+def test_invariant_output_pinned(capsys, word, ring, flags, digest):
+    code, out, _ = run(capsys, "invariant", "--ring", ring, *flags, word)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- determinism ---------------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from skeinforge import engine
 from skeinforge import (
     CONWAY,
     GENERIC,
@@ -14,6 +15,7 @@ from skeinforge import (
     OrderedSingularLink,
     PreconditionError,
     SingularBraidWord,
+    clear_cache,
     connected_sum,
     gf,
     homfly,
@@ -157,3 +159,12 @@ def test_fresh_cache_gives_same_answer():
     assert homfly(TREFOIL, R, cache=cache) == TREFOIL_VALUE
     assert cache  # the engine actually stored subresults
     assert homfly(TREFOIL, R, cache={}) == TREFOIL_VALUE
+
+
+def test_clear_cache_empties_every_module_cache():
+    for ring in (R, CONWAY, gf(5)):
+        homfly(TREFOIL, ring)
+    assert engine._caches and engine._skein_coeffs
+    clear_cache()
+    assert not engine._caches and not engine._skein_coeffs
+    assert homfly(TREFOIL, R) == TREFOIL_VALUE

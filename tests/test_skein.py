@@ -12,7 +12,6 @@ from skeinforge import (
     Y,
     Y_PRIME,
     BoundError,
-    EvalMatrix,
     OrderedSkeinElement,
     SkeinPolynomial,
     all_patterns,
@@ -54,15 +53,14 @@ def random_poly(rng, ring):
 
 @pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
 def test_eval_matrix_inverse_exact(ring):
-    mat = EvalMatrix(ring)
+    # [[delta, 1], [1, delta]] [[A, B], [B, A]] = D I, with A and B the
+    # entries the solve multiplies by.
+    m = ((ring.delta, ring.one), (ring.one, ring.delta))
+    m_inv = ((ring.inv_diag, ring.inv_off), (ring.inv_off, ring.inv_diag))
     for r in range(2):
         for c in range(2):
-            entry = sum(
-                (mat.m[r][k] * mat.m_inv[k][c] for k in range(2)),
-                start=ring.scalar_zero,
-            )
-            expected = ring.scalar_one if r == c else ring.scalar_zero
-            assert entry == expected
+            entry = m[r][0] * m_inv[0][c] + m[r][1] * m_inv[1][c]
+            assert entry == (ring.denom if r == c else ring.zero)
 
 
 # -- evaluation vectors -------------------------------------------------------
@@ -124,6 +122,18 @@ def test_solve_round_trip_random(ring):
             assert apply_cube(element) == {
                 bits: ring.scalar(v) for bits, v in values.items()
             }
+
+
+@pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
+def test_solve_round_trip_mixed_denominators(ring):
+    rng = random.Random(405)
+    for d in range(0, 5):
+        for _ in range(6):
+            values = {
+                bits: ring.scalar(random_poly(rng, ring), rng.randint(0, 3))
+                for bits in all_patterns(d)
+            }
+            assert apply_cube(solve_coordinates(values, ring)) == values
 
 
 # -- ordered invariants --------------------------------------------------------
@@ -218,6 +228,16 @@ def test_invariant_ignores_labels():
         assert relabeled.coords == {
             permute_bits(bits, w): c for bits, c in base.coords.items()
         }
+
+
+@pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
+def test_invariant_matches_projected_coordinates(ring):
+    # The weight-sum path against the reference: solve, then project.
+    rng = random.Random(808)
+    for d in range(0, 8):
+        for _ in range(2):
+            link = random_word(rng, strands=rng.randint(2, 4), classical=rng.randint(0, 6), sing=d, shuffle_labels=True)
+            assert invariant(link, ring) == project_unordered(invariant_ordered(link, ring))
 
 
 def test_skein_polynomial_strings():
