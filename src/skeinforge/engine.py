@@ -13,11 +13,20 @@ destabilized at the top and bottom strand.  Values are cached under the
 lexicographically least cyclic rotation of the reduced word, which is a
 closure invariant.  Caches are per ring mode and behave as pure
 functions of the word, so concurrent use is safe.
+
+Each node of the tree is cheap: one reduction pass per round of
+simplification (a round ends at each kink removed), with letter counts
+per index that find every free strand and kink at once; a rotation key
+compared only over the rotations that begin with the least letter (the
+same key as the minimum over all rotations); one walk of the closure
+along per-position chains of letters, which also counts the components
+of a descending diagram; and skein coefficients that are monomials, so
+each branch's product is an exponent shift (``LaurentPoly.__mul__``).
 """
 
 from __future__ import annotations
 
-from .braid import POS, SingularBraidWord, closure_components
+from .braid import POS, SingularBraidWord
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring
 
@@ -67,95 +76,144 @@ def homfly(
 
 
 def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
-    """Exact closure-preserving shrinking; returns (strands, letters, delta_pow)."""
-    word = list(letters)
-    delta_pow = 0
-    changed = True
-    while changed:
-        changed = False
+    """Exact closure-preserving shrinking; returns (strands, letters, delta_pow).
 
+    Each round makes one stack pass of free reduction that also counts
+    the letters on each index, then cancels across the seam with two
+    index pointers.  From the counts it drops every free strand in one
+    renumbering and finds a kink on the top or bottom strand; removing a
+    kink starts the next round.
+    """
+    word = letters
+    delta_pow = 0
+    while True:
         # Free reduction: cancel adjacent inverse pairs.
+        count = [0] * (n + 1)
         stack: list = []
+        last = None
         for letter in word:
-            if stack and stack[-1][1] == letter[1] and stack[-1][0] == -letter[0]:
+            kind, i = letter
+            if last is not None and last[1] == i and last[0] == -kind:
                 stack.pop()
-                changed = True
+                count[i] -= 1
+                last = stack[-1] if stack else None
             else:
                 stack.append(letter)
-        word = stack
+                count[i] += 1
+                last = letter
 
         # The closure also cancels an inverse pair across the seam.
-        while len(word) >= 2 and word[0][1] == word[-1][1] and word[0][0] == -word[-1][0]:
-            word = word[1:-1]
-            changed = True
+        lo, hi = 0, len(stack) - 1
+        while lo < hi and stack[lo][1] == stack[hi][1] and stack[lo][0] == -stack[hi][0]:
+            count[stack[lo][1]] -= 2
+            lo += 1
+            hi -= 1
+        if lo > hi:
+            return 1, (), delta_pow + n - 1
+        word = stack[lo : hi + 1] if lo else stack
 
         # A strand no letter touches closes to a split unknot: drop it
-        # and keep a delta factor.
-        if n > 1:
-            touched = [False] * (n + 2)
+        # and keep a delta factor.  Such a strand needs a zero count
+        # between the two that are always zero, count[0] and count[n];
+        # shift[s] counts the free strands below a touched strand s.
+        drop = 0
+        if count.count(0) > 2:
+            shift = [0] * (n + 1)
+            for s in range(1, n + 1):
+                if count[s - 1] or count[s]:
+                    shift[s] = drop
+                else:
+                    drop += 1
+        if drop:
+            word = [(kind, i - shift[i]) for kind, i in word]
+            n -= drop
+            delta_pow += drop
+            count = [0] * (n + 1)
             for _, i in word:
-                touched[i] = True
-                touched[i + 1] = True
-            free = next((s for s in range(1, n + 1) if not touched[s]), None)
-            if free is not None:
-                word = [(k, i - 1 if i > free else i) for k, i in word]
-                n -= 1
-                delta_pow += 1
-                changed = True
-                continue
-
-        if not word:
-            continue
+                count[i] += 1
 
         # Destabilize: a single crossing on the top (or bottom) strand
         # is a kink on the closure; remove it and the strand.
-        top = n - 1
-        occurrences = [q for q, (_, i) in enumerate(word) if i == top]
-        if len(occurrences) == 1:
-            q = occurrences[0]
-            word = word[q + 1 :] + word[:q]
-            n -= 1
-            changed = True
-            continue
-        occurrences = [q for q, (_, i) in enumerate(word) if i == 1]
-        if n > 1 and len(occurrences) == 1:
-            q = occurrences[0]
-            word = [(k, i - 1) for k, i in word[q + 1 :] + word[:q]]
-            n -= 1
-            changed = True
-
-    return n, tuple(word), delta_pow
+        if count[n - 1] == 1:
+            edge = n - 1
+        elif count[1] == 1:
+            edge = 1
+        else:
+            return n, tuple(word), delta_pow
+        q = next(q for q, letter in enumerate(word) if letter[1] == edge)
+        word = word[q + 1 :] + word[:q]
+        if edge == 1:
+            word = [(kind, i - 1) for kind, i in word]
+        n -= 1
 
 
 def _min_rotation(letters: tuple) -> tuple:
+    """The least cyclic rotation; it begins at an occurrence of the least letter."""
     if len(letters) <= 1:
         return letters
-    return min(letters[k:] + letters[:k] for k in range(len(letters)))
+    least = min(letters)
+    q = letters.index(least)
+    best = letters[q:] + letters[:q]
+    for _ in range(letters.count(least) - 1):
+        q = letters.index(least, q + 1)
+        rotation = letters[q:] + letters[:q]
+        if rotation < best:
+            best = rotation
+    return best
 
 
-def _first_bad(n: int, letters: tuple) -> int | None:
-    """Index of the first crossing met under-strand-first, or None if descending."""
+def _first_bad(n: int, letters: tuple) -> tuple[int | None, int]:
+    """Walk the closure: (k, 0) for the first crossing k met under-strand-first,
+    or (None, components) when the diagram is descending.
+
+    ``after[p]`` is the first letter touching position p, and ``up[k]``
+    (``down[k]``) the next letter after k touching position i + 1 (i) of
+    letter k = (kind, i), or m when there is none: per-position chains
+    the walk advances along, so a call costs O(n + m).  Each walk from a
+    position no earlier pass started at traces one closure component.
+    """
     m = len(letters)
+    after = [m] * (n + 2)
+    up = [m] * m
+    down = [m] * m
+    k = m
+    for _, i in reversed(letters):
+        k -= 1
+        down[k] = after[i]
+        up[k] = after[i + 1]
+        after[i] = after[i + 1] = k
     seen = [False] * m
     started = [False] * (n + 1)
+    components = 0
     for s0 in range(1, n + 1):
         if started[s0]:
             continue
+        components += 1
         pos = s0
         while True:
             started[pos] = True
-            for k in range(m):
+            k = after[pos]
+            while k < m:
                 kind, i = letters[k]
-                if pos == i or pos == i + 1:
+                if pos == i:
+                    # Coming in at i: over only on a positive crossing.
                     if not seen[k]:
+                        if kind != POS:
+                            return k, 0
                         seen[k] = True
-                        over = (pos == i) if kind == POS else (pos == i + 1)
-                        if not over:
-                            return k
-                    pos = i + 1 if pos == i else i
+                    pos = i + 1
+                    k = up[k]
+                else:
+                    # Coming in at i + 1: over only on a negative crossing.
+                    if not seen[k]:
+                        if kind == POS:
+                            return k, 0
+                        seen[k] = True
+                    pos = i
+                    k = down[k]
             if pos == s0:
                 break
-    return None
+    return None, components
 
 
 def _coeffs(ring: Ring) -> tuple:
@@ -180,9 +238,9 @@ def _closure_value(n0: int, letters0: tuple, ring: Ring, cache: dict) -> Laurent
             key = (n, _min_rotation(letters))
             value = cache.get(key)
             if value is None:
-                k = _first_bad(n, letters)
+                k, components = _first_bad(n, letters)
                 if k is None:
-                    value = ring.delta_pow(closure_components(n, letters) - 1)
+                    value = ring.delta_pow(components - 1)
                     cache[key] = value
                 else:
                     kind, i = letters[k]

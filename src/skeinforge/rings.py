@@ -21,6 +21,7 @@ between threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -181,12 +182,24 @@ class LaurentPoly:
         self._check(other)
         if not self.terms or not other.terms:
             return LaurentPoly._raw(self.base, {})
+        p = self.base.p
+        poly, mono = self.terms, other.terms
+        if len(poly) == 1:
+            poly, mono = mono, poly
+        if len(mono) == 1:
+            # A monomial factor shifts the exponents and scales the
+            # coefficients; in a field no product of units is zero.
+            ((mt, mx), mc), = mono.items()
+            if p is None:
+                out = {(e_t + mt, e_x + mx): c * mc for (e_t, e_x), c in poly.items()}
+            else:
+                out = {(e_t + mt, e_x + mx): c * mc % p for (e_t, e_x), c in poly.items()}
+            return LaurentPoly._raw(self.base, out)
         acc: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 acc[k] = acc.get(k, 0) + c1 * c2
-        p = self.base.p
         if p is None:
             out = {k: c for k, c in acc.items() if c}
         else:
@@ -228,6 +241,9 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     Works by shifting both operands into the ordinary polynomial ring
     (monomials are units, so divisibility is shift-invariant) and
     peeling leading terms under the lexicographic order on (e_t, e_x).
+    The remainder's keys sit in a heap of negated keys, so each leading
+    term costs O(log T); a popped key no longer in the remainder has
+    cancelled since it was pushed and is skipped.
     """
     a._check(b)
     if not b.terms:
@@ -246,15 +262,19 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     cb = rb[lead_b]
     p = a.base.p
     inv_cb = pow(cb, -1, p) if p is not None else None
+    heap = [(-u, -v) for u, v in ra]
+    heapify(heap)
 
     quot: dict[tuple[int, int], int] = {}
     while ra:
-        lead_a = max(ra)
-        e_t = lead_a[0] - lead_b[0]
-        e_x = lead_a[1] - lead_b[1]
+        neg_t, neg_x = heappop(heap)
+        ca = ra.get((-neg_t, -neg_x))
+        if ca is None:
+            continue
+        e_t = -neg_t - lead_b[0]
+        e_x = -neg_x - lead_b[1]
         if e_t < 0 or e_x < 0:
             return None
-        ca = ra[lead_a]
         if p is None:
             qc, rem = divmod(ca, cb)
             if rem:
@@ -264,13 +284,18 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
         quot[(e_t, e_x)] = qc
         for (u, v), c in rb.items():
             k = (u + e_t, v + e_x)
-            s = ra.get(k, 0) - qc * c
+            s = ra.get(k)
+            if s is None:
+                ra[k] = -qc * c if p is None else -qc * c % p
+                heappush(heap, (-k[0], -k[1]))
+                continue
+            s -= qc * c
             if p is not None:
                 s %= p
             if s:
                 ra[k] = s
             else:
-                ra.pop(k, None)
+                del ra[k]
     dt, dx = at - bt, ax - bx
     return LaurentPoly._raw(a.base, {(u + dt, v + dx): c for (u, v), c in quot.items()})
 

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from skeinforge import engine
+from skeinforge.braid import closure_components
 from skeinforge import (
     CONWAY,
     GENERIC,
@@ -133,6 +134,73 @@ def test_engine_matches_oracle_sampled():
             for letters in product(alphabet, repeat=length):
                 w = SingularBraidWord(strands, letters)
                 assert homfly(w, R) == homfly_reference(w, R)
+
+
+def test_engine_matches_oracle_on_wide_words():
+    # Letters on a few scattered indices leave several free strands
+    # between and around them, which one round drops together; short
+    # words also put kinks on the top and bottom strands.
+    rng = random.Random(404)
+    for ring in (R, CONWAY, gf(5)):
+        for _ in range(80):
+            n = rng.randint(4, 7)
+            used = rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))
+            letters = tuple(
+                (rng.choice((POS, NEG)), rng.choice(used))
+                for _ in range(rng.randint(0, 8))
+            )
+            w = SingularBraidWord(n, letters)
+            assert homfly(w, ring) == homfly_reference(w, ring)
+        for text in ("7: s1 s5 s1 s5^-1 s1 s5", "7: s5 s1^-1 s5 s6 s1^-1 s5", "6: s2 s4 s4 s2 s4"):
+            w = parse_word(text)
+            assert homfly(w, ring) == homfly_reference(w, ring)
+
+
+def test_simplify_drops_every_free_strand_in_one_round():
+    # Strands 3, 4 and 7 of 7 are free; index 5 becomes index 3.
+    assert engine._simplify(7, ((POS, 1), (POS, 1), (POS, 5), (POS, 5), (POS, 5))) == (
+        4,
+        ((POS, 1), (POS, 1), (POS, 3), (POS, 3), (POS, 3)),
+        3,
+    )
+    assert engine._simplify(5, ()) == (1, (), 4)
+    assert engine._simplify(4, ((POS, 2), (NEG, 2))) == (1, (), 3)
+    # A kink on the bottom strand shifts the word down a strand.
+    assert engine._simplify(3, ((POS, 1), (NEG, 2), (NEG, 2))) == (2, ((NEG, 1), (NEG, 1)), 0)
+    # A kink on the top strand leaves one on the new top strand.
+    assert engine._simplify(3, ((POS, 1), (NEG, 2))) == (1, (), 0)
+
+
+def test_min_rotation_is_the_least_rotation():
+    rng = random.Random(505)
+    alphabet = [(kind, i) for i in (1, 2, 3) for kind in (POS, NEG)]
+    words = [(), ((POS, 1),), ((NEG, 2),)]
+    words += [((POS, 1), (POS, 2)) * k for k in range(1, 6)]
+    for _ in range(300):
+        base = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        words.append(base * rng.randint(1, 3))
+        words.append(tuple(rng.choice(alphabet[:3]) for _ in range(rng.randint(0, 12))))
+    for letters in words:
+        rotations = [letters[k:] + letters[:k] for k in range(len(letters))]
+        assert engine._min_rotation(letters) == min(rotations, default=())
+
+
+def test_first_bad_counts_components_of_descending_words():
+    rng = random.Random(606)
+    descending = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        letters = tuple(
+            (rng.choice((POS, NEG)), rng.randint(1, n - 1))
+            for _ in range(rng.randint(0, 8) if n > 1 else 0)
+        )
+        k, components = engine._first_bad(n, letters)
+        if k is None:
+            descending += 1
+            assert components == closure_components(n, letters)
+        else:
+            assert components == 0 and 0 <= k < len(letters)
+    assert descending >= 300
 
 
 def test_table_values():

@@ -1,5 +1,7 @@
 """Coefficient arithmetic: pinned examples plus algebraic property tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,7 +142,38 @@ def test_exact_div_roundtrip(data):
     assert exact_div(a * b, b) == a
 
 
+@pytest.mark.parametrize("ring", (GENERIC, gf(5)), ids=lambda r: r.name)
+def test_exact_div_large_numerators(ring):
+    # The round trip above draws at most four terms; the remainder heap
+    # only matters for long numerators.
+    rng = random.Random(606)
+    n = ring.poly(
+        ((rng.randint(-20, 20), rng.randint(-20, 20)), rng.randint(-9, 9))
+        for _ in range(500)
+    )
+    assert len(n.terms) >= 300
+    for k in (1, 2, 3):
+        multiple = n * ring.denom_pow(k)
+        assert exact_div(multiple, ring.denom) == n * ring.denom_pow(k - 1)
+        assert exact_div(multiple + ring.one, ring.denom) is None
+
+
 # -- ring axioms ---------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_mode_polys(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-9, 9))
+def test_monomial_product_shifts_exponents(data, e_t, e_x, c):
+    ring, a = data
+    m = ring.monomial(c, e_t, e_x)
+    if m.is_zero:
+        return
+    ((mt, mx), mc), = m.terms.items()
+    expected = LaurentPoly(
+        ring.base, [((at + mt, ax + mx), ac * mc) for (at, ax), ac in a.terms.items()]
+    )
+    assert a * m == expected
+    assert m * a == expected
 
 
 @settings(max_examples=150, deadline=None)
