@@ -23,14 +23,12 @@ from .braid import (
     all_patterns,
     components_unionfind,
     connected_sum,
-    crossing,
     parse_link,
     parse_word,
     permute_bits,
     reorder,
     resolve_all,
     resolve_first,
-    singular,
     split_union,
 )
 from .checks import SUITE_NAMES, SuiteReport, run_suite, run_suites
@@ -75,8 +73,6 @@ __all__ = [
     "OrderedSingularLink",
     "parse_word",
     "parse_link",
-    "crossing",
-    "singular",
     "resolve_all",
     "resolve_first",
     "connected_sum",

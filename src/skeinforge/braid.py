@@ -32,8 +32,6 @@ __all__ = [
     "POS",
     "NEG",
     "SING",
-    "crossing",
-    "singular",
     "SingularBraidWord",
     "OrderedSingularLink",
     "parse_word",
@@ -56,18 +54,6 @@ __all__ = [
 POS, NEG, SING = 1, -1, 0
 
 Letter = tuple[int, int]
-
-
-def crossing(i: int, sign: int = 1) -> Letter:
-    """A classical crossing letter at position i with the given sign."""
-    if sign not in (1, -1):
-        raise ValueError("crossing sign must be +1 or -1")
-    return (POS if sign == 1 else NEG, i)
-
-
-def singular(i: int) -> Letter:
-    """A singular crossing letter at position i."""
-    return (SING, i)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Three subcommands: ``invariant`` computes the two-variable polynomial
 of a singular link, ``homfly`` evaluates a classical word, and
-``check`` runs the seeded verification suites.  Exit codes: 0 success,
-1 check failure, 2 parse error, 3 bound exceeded, 4 precondition
-violated.
+``check`` runs the seeded verification suites.  Each subcommand takes
+only the flags it reads.  Exit codes: 0 success, 1 check failure, 2
+parse error, 3 bound exceeded, 4 precondition violated.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .braid import _is_nat, parse_link
@@ -26,26 +25,9 @@ from .skein import (
     SkeinPolynomial,
     invariant,
     invariant_ordered,
-    project_unordered,
 )
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved options shared by all subcommands."""
-
-    ring: Ring
-    crossing_bound: int = DEFAULT_MAX_CROSSINGS
-    sing_bound: int = DEFAULT_MAX_SING
-    output: str = "text"
-    seed: int = 0
-    ordered: bool = False
-
-    def __post_init__(self):
-        if self.crossing_bound < 1 or self.sing_bound < 1:
-            raise ValueError("bounds must be at least 1")
+__all__ = ["main"]
 
 
 def _ring_from_spec(text: str) -> Ring:
@@ -70,7 +52,14 @@ def _nat_arg(text: str) -> int:
     return int(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _bound_arg(text: str) -> int:
+    value = _nat_arg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("bounds must be at least 1")
+    return value
+
+
+def _add_ring_and_crossings(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ring",
         default="generic",
@@ -79,21 +68,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-crossings",
-        type=_nat_arg,
+        type=_bound_arg,
         default=DEFAULT_MAX_CROSSINGS,
         metavar="N",
         help=f"refuse words with more crossings (default: {DEFAULT_MAX_CROSSINGS})",
-    )
-    parser.add_argument(
-        "--max-sing",
-        type=_nat_arg,
-        default=DEFAULT_MAX_SING,
-        metavar="N",
-        help=f"refuse links with more singular crossings (default: {DEFAULT_MAX_SING})",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument(
-        "--seed", type=_nat_arg, default=0, metavar="S", help="seed for check suites"
     )
 
 
@@ -104,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"skeinforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    json_help = "emit JSON instead of text"
 
     p_inv = sub.add_parser("invariant", help="invariant of a singular link")
     p_inv.add_argument("word", help="singular braid word, e.g. '3: t1 s2^-1 t2 | o = 2 1'")
@@ -112,34 +91,32 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the labeled coordinates",
     )
-    _add_common(p_inv)
+    _add_ring_and_crossings(p_inv)
+    p_inv.add_argument(
+        "--max-sing",
+        type=_bound_arg,
+        default=DEFAULT_MAX_SING,
+        metavar="N",
+        help=f"refuse links with more singular crossings (default: {DEFAULT_MAX_SING})",
+    )
+    p_inv.add_argument("--json", action="store_true", help=json_help)
     p_inv.set_defaults(handler=_cmd_invariant)
 
     p_hom = sub.add_parser("homfly", help="polynomial of a classical word")
     p_hom.add_argument("word", help="classical braid word, e.g. '2: s1 s1 s1'")
-    _add_common(p_hom)
+    _add_ring_and_crossings(p_hom)
+    p_hom.add_argument("--json", action="store_true", help=json_help)
     p_hom.set_defaults(handler=_cmd_homfly)
 
     p_chk = sub.add_parser("check", help="run a verification suite")
     p_chk.add_argument("suite", choices=SUITE_NAMES, help="suite name or 'all'")
-    _add_common(p_chk)
+    p_chk.add_argument("--json", action="store_true", help=json_help)
+    p_chk.add_argument(
+        "--seed", type=_nat_arg, default=0, metavar="S", help="seed for check suites"
+    )
     p_chk.set_defaults(handler=_cmd_check)
 
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    try:
-        return RunConfig(
-            ring=_ring_from_spec(args.ring),
-            crossing_bound=args.max_crossings,
-            sing_bound=args.max_sing,
-            output="json" if args.json else "text",
-            seed=args.seed,
-            ordered=getattr(args, "ordered", False),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc))
 
 
 def _coeff_obj(key, scalar) -> dict:
@@ -165,16 +142,13 @@ def _invariant_payload(d: int, poly: SkeinPolynomial, element: OrderedSkeinEleme
 
 
 def _cmd_invariant(args) -> int:
-    config = _config_from_args(args)
+    ring = _ring_from_spec(args.ring)
     link = parse_link(args.word)
-    bounds = {"max_sing": config.sing_bound, "max_crossings": config.crossing_bound}
-    element = None
-    if config.ordered:
-        element = invariant_ordered(link, config.ring, **bounds)
-        poly = project_unordered(element)
-    else:
-        poly = invariant(link, config.ring, **bounds)
-    if config.output == "json":
+    bounds = {"max_sing": args.max_sing, "max_crossings": args.max_crossings}
+    poly = invariant(link, ring, **bounds)
+    # The coordinates re-read the resolution values from the engine cache.
+    element = invariant_ordered(link, ring, **bounds) if args.ordered else None
+    if args.json:
         print(json.dumps(_invariant_payload(link.d, poly, element)))
     else:
         print(poly)
@@ -184,10 +158,10 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_homfly(args) -> int:
-    config = _config_from_args(args)
+    ring = _ring_from_spec(args.ring)
     word = parse_link(args.word).word
-    value = homfly(word, config.ring, max_crossings=config.crossing_bound)
-    if config.output == "json":
+    value = homfly(word, ring, max_crossings=args.max_crossings)
+    if args.json:
         payload = {
             "d": 0,
             "coeffs": [{"i": 0, "j": 0, "num": str(value), "dpow": 0}],
@@ -199,9 +173,8 @@ def _cmd_homfly(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = _config_from_args(args)
-    reports = run_suites([args.suite], config.seed)
-    if config.output == "json":
+    reports = run_suites([args.suite], args.seed)
+    if args.json:
         print(
             json.dumps(
                 [

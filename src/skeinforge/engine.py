@@ -20,8 +20,9 @@ per index that find every free strand and kink at once; a rotation key
 compared only over the rotations that begin with the least letter (the
 same key as the minimum over all rotations); one walk of the closure
 along per-position chains of letters, which also counts the components
-of a descending diagram; and skein coefficients that are monomials, so
-each branch's product is an exponent shift (``LaurentPoly.__mul__``).
+of a descending diagram; and skein coefficients that are monomials
+interned on ``Ring``, so each branch's product is an exponent shift
+(``LaurentPoly.__mul__``).
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ __all__ = ["DEFAULT_MAX_CROSSINGS", "unlink_value", "homfly", "clear_cache"]
 DEFAULT_MAX_CROSSINGS = 24
 
 _caches: dict[tuple, dict] = {}
-_skein_coeffs: dict[tuple, tuple] = {}
 
 
 def clear_cache() -> None:
     """Drop every memoized value the engine holds, for all ring modes."""
     _caches.clear()
-    _skein_coeffs.clear()
 
 
 def unlink_value(ring: Ring, k: int) -> LaurentPoly:
@@ -216,17 +215,9 @@ def _first_bad(n: int, letters: tuple) -> tuple[int | None, int]:
     return None, components
 
 
-def _coeffs(ring: Ring) -> tuple:
-    cached = _skein_coeffs.get(ring.key)
-    if cached is None:
-        t, t_inv, x = ring.t, ring.t_inv, ring.x
-        cached = (t * t, t * x, t_inv * t_inv, -(t_inv * x))
-        _skein_coeffs[ring.key] = cached
-    return cached
-
-
 def _closure_value(n0: int, letters0: tuple, ring: Ring, cache: dict) -> LaurentPoly:
-    sw_pos, sm_pos, sw_neg, sm_neg = _coeffs(ring)
+    pos_steps = (ring.switch_pos, ring.smooth_pos)
+    neg_steps = (ring.switch_neg, ring.smooth_neg)
     results: list[LaurentPoly] = []
     stack: list[tuple] = [("visit", n0, letters0)]
     while stack:
@@ -246,7 +237,7 @@ def _closure_value(n0: int, letters0: tuple, ring: Ring, cache: dict) -> Laurent
                     kind, i = letters[k]
                     smoothed = letters[:k] + letters[k + 1 :]
                     switched = letters[:k] + ((-kind, i),) + letters[k + 1 :]
-                    coeffs = (sw_pos, sm_pos) if kind == POS else (sw_neg, sm_neg)
+                    coeffs = pos_steps if kind == POS else neg_steps
                     stack.append(("combine", key, mult, coeffs))
                     stack.append(("visit", n, switched))
                     stack.append(("visit", n, smoothed))

@@ -307,7 +307,10 @@ class Ring:
     unlink value delta = x^(-1)(t^(-1) - t), the localization
     denominator D, and the entries of D times the inverse of the
     resolution matrix [[delta, 1], [1, delta]]: ``inv_diag`` =
-    x(t^(-1) - t) on the diagonal and ``inv_off`` = -x^2 off it, so the
+    x(t^(-1) - t) on the diagonal and ``inv_off`` = -x^2 off it, and the
+    skein-step monomials of the engine: switching a positive (negative)
+    crossing costs ``switch_pos`` = t^2 (``switch_neg`` = t^(-2)),
+    smoothing it ``smooth_pos`` = t x (``smooth_neg`` = -t^(-1) x); the
     rest of the package never rebuilds them.
     Use :meth:`Ring.get` to share instances.
     """
@@ -327,6 +330,10 @@ class Ring:
         "denom",
         "inv_diag",
         "inv_off",
+        "switch_pos",
+        "smooth_pos",
+        "switch_neg",
+        "smooth_neg",
         "_delta_pows",
         "_denom_pows",
         "scalar_zero",
@@ -353,6 +360,10 @@ class Ring:
         self.denom = (self.t_inv - self.t - self.x) * (self.t_inv - self.t + self.x)
         self.inv_diag = self.x * (self.t_inv - self.t)
         self.inv_off = -(self.x * self.x)
+        self.switch_pos = self.t * self.t
+        self.smooth_pos = self.t * self.x
+        self.switch_neg = self.t_inv * self.t_inv
+        self.smooth_neg = -(self.t_inv * self.x)
         self._delta_pows = [self.one]
         self._denom_pows = [self.one]
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)

@@ -29,7 +29,10 @@ Marking each one bit of eta with z, these products summed over all eta
 give (A + B z) for each zero bit of eps and (B + A z) for each one bit,
 so the z^j coefficient is their sum over the coordinates of weight j.
 Only the grouping of exact sums changes, so the result is the
-projection of the solved coordinates, term for term.
+projection of the solved coordinates, term for term.  ``invariant``
+computes the polynomial this way, with or without ``--ordered``;
+``project_unordered(solve_coordinates(...))`` is kept only as the
+reference that the tests and the check suites compare against.
 """
 
 from __future__ import annotations
@@ -151,13 +154,6 @@ class SkeinPolynomial:
                 clean[(i, j)] = c
         self.ring = ring
         self.coeffs = clean
-
-    @classmethod
-    def constant(cls, ring: Ring, scalar: LocalizedScalar) -> "SkeinPolynomial":
-        return cls(ring, {(0, 0): scalar})
-
-    def coefficient(self, i: int, j: int) -> LocalizedScalar:
-        return self.coeffs.get((i, j), self.ring.scalar_zero)
 
     def _check(self, other: "SkeinPolynomial") -> None:
         if self.ring.key != other.ring.key:
@@ -406,8 +402,10 @@ def invariant(
     coordinates of weight j, of the A/B factors pattern eps of weight w
     sends them (see the module docstring), so only the grouping of exact
     sums differs from ``project_unordered(solve_coordinates(...))``.
-    That path stays as the reference: ``--ordered`` output needs the
-    coordinates, and the tests compare the two.
+    The CLI prints this polynomial on both paths; ``--ordered`` adds the
+    coordinates of ``invariant_ordered``, whose resolution values come
+    back from the engine cache.  The projection stays as the reference
+    that the tests compare against.
     """
     values = eval_vector(link, ring, max_sing=max_sing, max_crossings=max_crossings)
     d = link.d

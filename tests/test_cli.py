@@ -73,20 +73,51 @@ def test_non_ascii_digits_are_parse_errors(capsys, word):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--ring", "gf:\u0665"],
-        ["--ring", "gf:+5"],
-        ["--ring", "gf: 5"],
-        ["--max-sing", "\u0663"],
-        ["--max-sing", "+3"],
-        ["--max-crossings", " 24"],
-        ["--seed", "-1"],
+        ["invariant", "--ring", "gf:\u0665", "2: t1"],
+        ["invariant", "--ring", "gf:+5", "2: t1"],
+        ["invariant", "--ring", "gf: 5", "2: t1"],
+        ["invariant", "--max-sing", "\u0663", "2: t1"],
+        ["invariant", "--max-sing", "+3", "2: t1"],
+        ["invariant", "--max-crossings", " 24", "2: t1"],
+        ["check", "star", "--seed", "-1"],
     ],
 )
 def test_numeric_flags_take_ascii_digits_only(capsys, argv):
     # int() accepts signs, spaces and any script's digits; the flags do not.
-    code, out, err = run(capsys, "invariant", *argv, "2: t1")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "unrecognized arguments" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--max-sing", "0", "2: t1"],
+        ["invariant", "--max-crossings", "0", "2: t1"],
+        ["homfly", "--max-crossings", "0", "2: s1"],
+    ],
+)
+def test_zero_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "bounds must be at least 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--seed", "3", "2: t1"],
+        ["homfly", "--max-sing", "3", "2: s1"],
+        ["homfly", "--seed", "3", "2: s1"],
+        ["check", "star", "--ring", "conway"],
+        ["check", "star", "--max-crossings", "24"],
+        ["check", "star", "--max-sing", "10"],
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_exit_code_bounds(capsys):

@@ -232,7 +232,7 @@ def test_fresh_cache_gives_same_answer():
 def test_clear_cache_empties_every_module_cache():
     for ring in (R, CONWAY, gf(5)):
         homfly(TREFOIL, ring)
-    assert engine._caches and engine._skein_coeffs
+    assert {R.key, CONWAY.key, gf(5).key} <= set(engine._caches)
     clear_cache()
-    assert not engine._caches and not engine._skein_coeffs
+    assert not engine._caches
     assert homfly(TREFOIL, R) == TREFOIL_VALUE
