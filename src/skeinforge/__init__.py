@@ -1,10 +1,10 @@
 """skeinforge: exact two-variable skein invariants of singular links.
 
-Links enter as closed singular braid words.  Classical closures are
-evaluated by a memoized skein-tree engine; singular links resolve into
-a cube of classical closures whose values determine coordinates in a
-free basis, and summing over label patterns yields a polynomial in the
-two generator links X and Y.  All arithmetic is exact, over the
+Links enter as closed singular braid words.  Closures are evaluated by
+one pass over the word in the Hecke algebra followed by its trace;
+singular links resolve into a cube of classical closures whose values
+determine coordinates in a free basis, and summing over label patterns
+yields a polynomial in the two generator links X and Y.  All arithmetic is exact, over the
 integers, over GF(p), or with t specialized to 1.
 """
 

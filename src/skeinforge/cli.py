@@ -146,7 +146,8 @@ def _cmd_invariant(args) -> int:
     link = parse_link(args.word)
     bounds = {"max_sing": args.max_sing, "max_crossings": args.max_crossings}
     poly = invariant(link, ring, **bounds)
-    # The coordinates re-read the resolution values from the engine cache.
+    # The coordinates come from all 2^d resolution values; the polynomial
+    # above came from the engine's d + 1 weight sums.
     element = invariant_ordered(link, ring, **bounds) if args.ordered else None
     if args.json:
         print(json.dumps(_invariant_payload(link.d, poly, element)))

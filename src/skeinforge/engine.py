@@ -1,37 +1,43 @@
-"""Two-variable polynomial values of closed classical braid words.
+"""Two-variable polynomial values of closed braid words, by one Hecke-algebra pass.
 
-The evaluator expands a skein tree.  Walking the closure (components
-taken in order of their lowest strand, each walked upward from level
-zero), the first crossing met on its under-strand is the branch point:
-switching it costs t^2 or t^(-2), smoothing it costs t x or -t^(-1) x,
-per the defining relation x P0 = t^(-1) P+ - t P-.  A diagram with no
-such crossing is descending, hence an unlink, worth delta^(c-1).
+The defining relation x P0 = t^(-1) P+ - t P- is the quadratic relation
+g_i^2 = t x g_i + t^2 of the Hecke algebra H_n, and the value of a
+closure is the Ocneanu trace of the word's image in H_n (Jones,
+Ann. Math. 126, 1987; Morton-Short, J. Algorithms 11, 1990).  One pass
+over the word multiplies on the right in the basis T_w, w in S_n,
+permutations in one-line notation.  With v = w s_i, ``_act`` applies
 
-Before branching, words are freely reduced, conjugation-cancelled at
-the seam, stripped of untouched strands (a delta factor each), and
-destabilized at the top and bottom strand.  Values are cached under the
-lexicographically least cyclic rotation of the reduced word, which is a
-closure invariant.  Caches are per ring mode and behave as pure
-functions of the word, so concurrent use is safe.
+    w(i) < w(i+1):  T_w g_i = T_v,
+                    T_w g_i^(-1) = t^(-2) T_v - t^(-1) x T_w;
+    otherwise:      T_w g_i = t x T_w + t^2 T_v,
+                    T_w g_i^(-1) = T_v,
 
-Each node of the tree is cheap: one reduction pass per round of
-simplification (a round ends at each kink removed), with letter counts
-per index that find every free strand and kink at once; a rotation key
-compared only over the rotations that begin with the least letter (the
-same key as the minimum over all rotations); one walk of the closure
-along per-position chains of letters, which also counts the components
-of a descending diagram; and skein coefficients that are monomials
-interned on ``Ring``, so each branch's product is an exponent shift
-(``LaurentPoly.__mul__``).
+whose four monomials are the skein steps interned on ``Ring``.  The
+trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when w
+fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
+with no writhe factor.  So a w moving n is peeled as
+w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
+that product expanded with ``_act``.  Trace values are memoized per
+ring mode, keyed by permutation, so the table holds at most
+1! + ... + n! entries.
+
+A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
+smoothing (the identity braid) and bit 1 the negative crossing, so the
+state keeps the power g of Y beside w, and the Y^g part of the pass,
+traced, is the sum S_g of the values of the resolutions with g ones.
+Before the pass, words are freely reduced, conjugation-cancelled at the
+seam, stripped of untouched strands (a delta factor each), and
+destabilized at the top and bottom strand; singular letters never
+cancel and are never kinks.
 """
 
 from __future__ import annotations
 
-from .braid import POS, SingularBraidWord
+from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring
 
-__all__ = ["DEFAULT_MAX_CROSSINGS", "unlink_value", "homfly", "clear_cache"]
+__all__ = ["DEFAULT_MAX_CROSSINGS", "unlink_value", "homfly", "weight_sums", "clear_cache"]
 
 DEFAULT_MAX_CROSSINGS = 24
 
@@ -39,7 +45,7 @@ _caches: dict[tuple, dict] = {}
 
 
 def clear_cache() -> None:
-    """Drop every memoized value the engine holds, for all ring modes."""
+    """Drop every memoized trace value the engine holds, for all ring modes."""
     _caches.clear()
 
 
@@ -57,7 +63,10 @@ def homfly(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
     cache: dict | None = None,
 ) -> LaurentPoly:
-    """Polynomial of the closure of a classical word, normalized to 1 on the unknot."""
+    """Polynomial of the closure of a classical word, normalized to 1 on the unknot.
+
+    ``cache`` replaces the per-ring trace table (a dict keyed by permutation).
+    """
     if not word.is_classical:
         raise PreconditionError(
             "word has singular crossings; resolve them before evaluating"
@@ -66,9 +75,78 @@ def homfly(
         raise BoundError(
             f"{len(word.letters)} crossings exceeds the bound {max_crossings}"
         )
-    if cache is None:
-        cache = _caches.setdefault(ring.key, {})
-    return _closure_value(word.strands, word.letters, ring, cache)
+    return weight_sums(word, ring, cache=cache)[0]
+
+
+def weight_sums(
+    word: SingularBraidWord, ring: Ring, *, cache: dict | None = None
+) -> list[LaurentPoly]:
+    """[S_0, ..., S_d]: S_g sums the values of the resolutions with g negative crossings.
+
+    Resolving the d singular letters gives 2^d classical closures; S_g
+    is the sum over those whose pattern has g ones.  No bound is checked.
+    """
+    table = _caches.setdefault(ring.key, {}) if cache is None else cache
+    d = word.sing_count
+    n, letters, delta_pow = _simplify(word.strands, word.letters)
+    state = {(0, tuple(range(n))): ring.one}
+    for kind, i in letters:
+        state = _act(state, kind, i, ring)
+    sums = [ring.zero] * (d + 1)
+    for (g, w), c in state.items():
+        sums[g] = sums[g] + c * _tau(w, ring, table)
+    if delta_pow:
+        factor = ring.delta_pow(delta_pow)
+        sums = [s * factor for s in sums]
+    return sums
+
+
+def _act(state: dict, kind: int, i: int, ring: Ring) -> dict:
+    """The state times g_i (POS), g_i^(-1) (NEG) or 1 + Y g_i^(-1) (SING)."""
+    out: dict = {}
+    get = out.get
+    for (g, w), c in state.items():
+        if kind == SING:
+            key = (g, w)
+            old = get(key)
+            out[key] = c if old is None else old + c
+            g += 1
+        a, b = w[i - 1], w[i]
+        v = w[: i - 1] + (b, a) + w[i + 1 :]
+        if (a < b) == (kind == POS):
+            # g_i lengthens w, or g_i^(-1) shortens it: a plain move to T_v.
+            terms = (((g, v), c),)
+        elif kind == POS:
+            terms = (((g, w), c * ring.smooth_pos), ((g, v), c * ring.switch_pos))
+        else:
+            terms = (((g, v), c * ring.switch_neg), ((g, w), c * ring.smooth_neg))
+        for key, value in terms:
+            old = get(key)
+            out[key] = value if old is None else old + value
+    return {key: c for key, c in out.items() if c}
+
+
+def _tau(w: tuple, ring: Ring, table: dict) -> LaurentPoly:
+    """Ocneanu trace of T_w, normalized so the one-strand closure is 1."""
+    value = table.get(w)
+    if value is not None:
+        return value
+    n = len(w)
+    if n <= 1:
+        value = ring.one
+    elif w[-1] == n - 1:
+        value = ring.delta * _tau(w[:-1], ring, table)
+    else:
+        # w = u s_(n-1) ... s_(k+1), with n at (0-based) position k.
+        k = w.index(n - 1)
+        state = {(0, w[:k] + w[k + 1 :]): ring.one}
+        for i in range(n - 2, k, -1):
+            state = _act(state, POS, i, ring)
+        value = ring.zero
+        for (_, v), c in state.items():
+            value = value + c * _tau(v, ring, table)
+    table[w] = value
+    return value
 
 
 # -- word simplification ----------------------------------------------
@@ -81,7 +159,8 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
     the letters on each index, then cancels across the seam with two
     index pointers.  From the counts it drops every free strand in one
     renumbering and finds a kink on the top or bottom strand; removing a
-    kink starts the next round.
+    kink starts the next round.  Singular letters never cancel and are
+    never kinks, so the value of every resolution is kept.
     """
     word = letters
     delta_pow = 0
@@ -92,7 +171,7 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
         last = None
         for letter in word:
             kind, i = letter
-            if last is not None and last[1] == i and last[0] == -kind:
+            if kind and last is not None and last[1] == i and last[0] == -kind:
                 stack.pop()
                 count[i] -= 1
                 last = stack[-1] if stack else None
@@ -103,7 +182,12 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
 
         # The closure also cancels an inverse pair across the seam.
         lo, hi = 0, len(stack) - 1
-        while lo < hi and stack[lo][1] == stack[hi][1] and stack[lo][0] == -stack[hi][0]:
+        while (
+            lo < hi
+            and stack[lo][0]
+            and stack[lo][1] == stack[hi][1]
+            and stack[lo][0] == -stack[hi][0]
+        ):
             count[stack[lo][1]] -= 2
             lo += 1
             hi -= 1
@@ -131,123 +215,17 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
             for _, i in word:
                 count[i] += 1
 
-        # Destabilize: a single crossing on the top (or bottom) strand
-        # is a kink on the closure; remove it and the strand.
-        if count[n - 1] == 1:
-            edge = n - 1
-        elif count[1] == 1:
-            edge = 1
+        # Destabilize: a single classical crossing on the top (or
+        # bottom) strand is a kink on the closure; remove it and the
+        # strand.
+        for edge in (n - 1, 1):
+            if count[edge] == 1:
+                q = next(q for q, letter in enumerate(word) if letter[1] == edge)
+                if word[q][0] != SING:
+                    break
         else:
             return n, tuple(word), delta_pow
-        q = next(q for q, letter in enumerate(word) if letter[1] == edge)
         word = word[q + 1 :] + word[:q]
         if edge == 1:
             word = [(kind, i - 1) for kind, i in word]
         n -= 1
-
-
-def _min_rotation(letters: tuple) -> tuple:
-    """The least cyclic rotation; it begins at an occurrence of the least letter."""
-    if len(letters) <= 1:
-        return letters
-    least = min(letters)
-    q = letters.index(least)
-    best = letters[q:] + letters[:q]
-    for _ in range(letters.count(least) - 1):
-        q = letters.index(least, q + 1)
-        rotation = letters[q:] + letters[:q]
-        if rotation < best:
-            best = rotation
-    return best
-
-
-def _first_bad(n: int, letters: tuple) -> tuple[int | None, int]:
-    """Walk the closure: (k, 0) for the first crossing k met under-strand-first,
-    or (None, components) when the diagram is descending.
-
-    ``after[p]`` is the first letter touching position p, and ``up[k]``
-    (``down[k]``) the next letter after k touching position i + 1 (i) of
-    letter k = (kind, i), or m when there is none: per-position chains
-    the walk advances along, so a call costs O(n + m).  Each walk from a
-    position no earlier pass started at traces one closure component.
-    """
-    m = len(letters)
-    after = [m] * (n + 2)
-    up = [m] * m
-    down = [m] * m
-    k = m
-    for _, i in reversed(letters):
-        k -= 1
-        down[k] = after[i]
-        up[k] = after[i + 1]
-        after[i] = after[i + 1] = k
-    seen = [False] * m
-    started = [False] * (n + 1)
-    components = 0
-    for s0 in range(1, n + 1):
-        if started[s0]:
-            continue
-        components += 1
-        pos = s0
-        while True:
-            started[pos] = True
-            k = after[pos]
-            while k < m:
-                kind, i = letters[k]
-                if pos == i:
-                    # Coming in at i: over only on a positive crossing.
-                    if not seen[k]:
-                        if kind != POS:
-                            return k, 0
-                        seen[k] = True
-                    pos = i + 1
-                    k = up[k]
-                else:
-                    # Coming in at i + 1: over only on a negative crossing.
-                    if not seen[k]:
-                        if kind == POS:
-                            return k, 0
-                        seen[k] = True
-                    pos = i
-                    k = down[k]
-            if pos == s0:
-                break
-    return None, components
-
-
-def _closure_value(n0: int, letters0: tuple, ring: Ring, cache: dict) -> LaurentPoly:
-    pos_steps = (ring.switch_pos, ring.smooth_pos)
-    neg_steps = (ring.switch_neg, ring.smooth_neg)
-    results: list[LaurentPoly] = []
-    stack: list[tuple] = [("visit", n0, letters0)]
-    while stack:
-        frame = stack.pop()
-        if frame[0] == "visit":
-            _, n, letters = frame
-            n, letters, delta_pow = _simplify(n, letters)
-            mult = ring.delta_pow(delta_pow) if delta_pow else None
-            key = (n, _min_rotation(letters))
-            value = cache.get(key)
-            if value is None:
-                k, components = _first_bad(n, letters)
-                if k is None:
-                    value = ring.delta_pow(components - 1)
-                    cache[key] = value
-                else:
-                    kind, i = letters[k]
-                    smoothed = letters[:k] + letters[k + 1 :]
-                    switched = letters[:k] + ((-kind, i),) + letters[k + 1 :]
-                    coeffs = pos_steps if kind == POS else neg_steps
-                    stack.append(("combine", key, mult, coeffs))
-                    stack.append(("visit", n, switched))
-                    stack.append(("visit", n, smoothed))
-                    continue
-            results.append(value * mult if mult is not None else value)
-        else:
-            _, key, mult, (c_switch, c_smooth) = frame
-            v_switch = results.pop()
-            v_smooth = results.pop()
-            value = c_switch * v_switch + c_smooth * v_smooth
-            cache[key] = value
-            results.append(value * mult if mult is not None else value)
-    return results[-1]

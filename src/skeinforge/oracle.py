@@ -1,9 +1,11 @@
 """Memo-free skein expansion used to cross-check the main evaluator.
 
-Deliberately naive: no word simplification, no caching, and a freshly
-built traversal at every node.  The walk is organized differently from
-the engine's (explicit successor tables over arcs instead of an inline
-scan) so the two paths do not share code.
+This is the package's only skein tree.  It branches at the first
+crossing met under-strand-first on the closure until the diagram is
+descending, an unlink.  The engine instead traces a Hecke-algebra
+product, so the two share no algorithm and no code.  Deliberately
+naive: no word simplification, no caching, and a freshly built
+traversal at every node.
 """
 
 from __future__ import annotations

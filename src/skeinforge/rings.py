@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:

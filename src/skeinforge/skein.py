@@ -30,7 +30,10 @@ give (A + B z) for each zero bit of eps and (B + A z) for each one bit,
 so the z^j coefficient is their sum over the coordinates of weight j.
 Only the grouping of exact sums changes, so the result is the
 projection of the solved coordinates, term for term.  ``invariant``
-computes the polynomial this way, with or without ``--ordered``;
+computes the polynomial this way, with or without ``--ordered``, and
+takes the weight sums from the engine's graded pass
+(``engine.weight_sums``), which never forms the 2^d resolutions.
+``eval_vector`` lists the resolution values for ``--ordered``;
 ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
 """
@@ -41,7 +44,7 @@ from typing import Mapping
 
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
-from .engine import DEFAULT_MAX_CROSSINGS, homfly
+from .engine import DEFAULT_MAX_CROSSINGS, homfly, weight_sums
 from .rings import LaurentPoly, LocalizedScalar, Ring, _mono_str
 
 __all__ = [
@@ -257,17 +260,20 @@ def eval_vector(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """Polynomial value of every full resolution, keyed by bit pattern."""
-    d = link.d
-    if d > max_sing:
-        raise BoundError(f"{d} singular crossings exceeds the bound {max_sing}")
+    _check_bounds(link, max_sing, max_crossings)
+    return {
+        bits: homfly(resolve_all(link, bits), ring, max_crossings=max_crossings)
+        for bits in all_patterns(link.d)
+    }
+
+
+def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) -> None:
+    if link.d > max_sing:
+        raise BoundError(f"{link.d} singular crossings exceeds the bound {max_sing}")
     if len(link.word.letters) > max_crossings:
         raise BoundError(
             f"{len(link.word.letters)} letters exceeds the crossing bound {max_crossings}"
         )
-    return {
-        bits: homfly(resolve_all(link, bits), ring, max_crossings=max_crossings)
-        for bits in all_patterns(d)
-    }
 
 
 def _axis_pass(vec: list, d: int, diag, off) -> None:
@@ -402,19 +408,16 @@ def invariant(
     coordinates of weight j, of the A/B factors pattern eps of weight w
     sends them (see the module docstring), so only the grouping of exact
     sums differs from ``project_unordered(solve_coordinates(...))``.
-    The CLI prints this polynomial on both paths; ``--ordered`` adds the
-    coordinates of ``invariant_ordered``, whose resolution values come
-    back from the engine cache.  The projection stays as the reference
-    that the tests compare against.
+    The weight sums come from one graded pass of the engine over the
+    word, each singular letter acting as 1 + Y g_i^(-1), so no resolution
+    is evaluated on its own.  The CLI prints this polynomial on both
+    paths; ``--ordered`` adds the coordinates of ``invariant_ordered``.
+    The projection stays as the reference that the tests compare against.
     """
-    values = eval_vector(link, ring, max_sing=max_sing, max_crossings=max_crossings)
+    _check_bounds(link, max_sing, max_crossings)
     d = link.d
-    classes: list[list] = [[] for _ in range(d + 1)]
-    for bits, value in values.items():
-        classes[sum(bits)].extend(value.terms.items())
     nums = [ring.zero] * (d + 1)
-    for terms, row in zip(classes, _weight_kernel(ring, d)):
-        weight_sum = LaurentPoly(ring.base, terms)
+    for weight_sum, row in zip(weight_sums(link.word, ring), _weight_kernel(ring, d)):
         for j, c in enumerate(row):
             nums[j] = nums[j] + c * weight_sum
     return SkeinPolynomial(ring, {(d - j, j): ring.scalar(num, d) for j, num in enumerate(nums)})

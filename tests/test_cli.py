@@ -59,6 +59,12 @@ def test_exit_code_parse_error(capsys):
     assert code == 2
 
 
+def test_composite_modulus_passing_bases_below_41_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "invariant", "--ring", "gf:318665857834031151167461", "2: t1 s1^-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
 @pytest.mark.parametrize(
     "word", ["2: t1 | o = \u00b2", "\u00b2 : s1", "\u0662: s\u0661", "2: t1 | o = \u0661"]
 )

@@ -6,22 +6,25 @@ from itertools import product
 import pytest
 
 from skeinforge import engine
-from skeinforge.braid import closure_components
+from skeinforge.braid import random_word
 from skeinforge import (
     CONWAY,
     GENERIC,
     NEG,
     POS,
+    SING,
     BoundError,
     OrderedSingularLink,
     PreconditionError,
     SingularBraidWord,
+    all_patterns,
     clear_cache,
     connected_sum,
     gf,
     homfly,
     homfly_reference,
     parse_word,
+    resolve_all,
     split_union,
     unlink_value,
 )
@@ -171,36 +174,47 @@ def test_simplify_drops_every_free_strand_in_one_round():
     assert engine._simplify(3, ((POS, 1), (NEG, 2))) == (1, (), 0)
 
 
-def test_min_rotation_is_the_least_rotation():
-    rng = random.Random(505)
-    alphabet = [(kind, i) for i in (1, 2, 3) for kind in (POS, NEG)]
-    words = [(), ((POS, 1),), ((NEG, 2),)]
-    words += [((POS, 1), (POS, 2)) * k for k in range(1, 6)]
-    for _ in range(300):
-        base = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-        words.append(base * rng.randint(1, 3))
-        words.append(tuple(rng.choice(alphabet[:3]) for _ in range(rng.randint(0, 12))))
-    for letters in words:
-        rotations = [letters[k:] + letters[:k] for k in range(len(letters))]
-        assert engine._min_rotation(letters) == min(rotations, default=())
+def test_simplify_keeps_singular_letters():
+    # Two singular letters on one index cancel neither side by side nor
+    # across the seam, and a lone one on an edge index is not a kink; the
+    # free bottom strand still drops.
+    assert engine._simplify(2, ((SING, 1), (SING, 1))) == (2, ((SING, 1), (SING, 1)), 0)
+    assert engine._simplify(3, ((SING, 2),)) == (2, ((SING, 1),), 1)
+    assert engine._simplify(2, ((SING, 1), (POS, 1), (SING, 1))) == (
+        2,
+        ((SING, 1), (POS, 1), (SING, 1)),
+        0,
+    )
 
 
-def test_first_bad_counts_components_of_descending_words():
-    rng = random.Random(606)
-    descending = 0
-    for _ in range(1500):
-        n = rng.randint(1, 6)
-        letters = tuple(
-            (rng.choice((POS, NEG)), rng.randint(1, n - 1))
-            for _ in range(rng.randint(0, 8) if n > 1 else 0)
-        )
-        k, components = engine._first_bad(n, letters)
-        if k is None:
-            descending += 1
-            assert components == closure_components(n, letters)
-        else:
-            assert components == 0 and 0 <= k < len(letters)
-    assert descending >= 300
+def test_weight_sums_match_oracle():
+    # S_g sums the oracle's values of the resolutions with g ones; the
+    # words include free strands and singular letters on edge indices.
+    rng = random.Random(707)
+    for ring in (R, CONWAY, gf(5)):
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            letters = []
+            if n > 1:
+                used = rng.sample(range(1, n), rng.randint(1, n - 1))
+                letters = [(rng.choice((POS, NEG)), rng.choice(used)) for _ in range(rng.randint(0, 6))]
+                letters += [(SING, rng.choice(used + [1, n - 1])) for _ in range(rng.randint(0, 3))]
+                rng.shuffle(letters)
+            link = OrderedSingularLink(SingularBraidWord(n, tuple(letters)))
+            expected = [ring.zero] * (link.d + 1)
+            for bits in all_patterns(link.d):
+                expected[sum(bits)] += homfly_reference(resolve_all(link, bits), ring)
+            assert engine.weight_sums(link.word, ring) == expected, link
+
+
+def test_trace_table_is_bounded_by_the_permutations():
+    # The table holds at most one entry per permutation on 1..6 strands.
+    clear_cache()
+    rng = random.Random(808)
+    for _ in range(200):
+        link = random_word(rng, strands=rng.randint(3, 6), classical=24)
+        homfly(link.word, R)
+    assert len(engine._caches[R.key]) <= 1 + 2 + 6 + 24 + 120 + 720
 
 
 def test_table_values():

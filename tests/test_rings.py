@@ -62,6 +62,13 @@ def test_base_ring_requires_prime():
         BaseRing(1)
 
 
+def test_base_ring_rejects_strong_pseudoprime_to_bases_below_41():
+    # 399165290221 * 798330580441 passes Miller-Rabin to every prime base
+    # up to 37; base 41 makes the test deterministic below 3.3e24.
+    with pytest.raises(ValueError):
+        BaseRing(318665857834031151167461)
+
+
 def test_canonical_form_drops_zeros():
     p = LaurentPoly(GENERIC.base, {(0, 0): 3, (1, 0): 0})
     assert p.terms == {(0, 0): 3}
