@@ -199,7 +199,11 @@ def _cmd_check(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # An unread flag's value may have displaced the word: name the flags.
+            flags = [a for a in extras if a.startswith("-")] or extras
+            parser.error("unrecognized arguments: " + " ".join(flags))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

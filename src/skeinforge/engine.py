@@ -18,8 +18,8 @@ fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
 with no writhe factor.  So a w moving n is peeled as
 w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
 that product expanded with ``_act``.  Trace values are memoized per
-ring mode, keyed by permutation, so the table holds at most
-1! + ... + n! entries.
+permutation in a table that lives for one call (or in the caller's
+``cache``), so it holds at most 1! + ... + n! entries.
 
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
@@ -41,12 +41,9 @@ __all__ = ["DEFAULT_MAX_CROSSINGS", "unlink_value", "homfly", "weight_sums", "cl
 
 DEFAULT_MAX_CROSSINGS = 24
 
-_caches: dict[tuple, dict] = {}
-
 
 def clear_cache() -> None:
-    """Drop every memoized trace value the engine holds, for all ring modes."""
-    _caches.clear()
+    """Do nothing: no state outlives a call.  Kept as ``bench/`` still calls it."""
 
 
 def unlink_value(ring: Ring, k: int) -> LaurentPoly:
@@ -65,7 +62,8 @@ def homfly(
 ) -> LaurentPoly:
     """Polynomial of the closure of a classical word, normalized to 1 on the unknot.
 
-    ``cache`` replaces the per-ring trace table (a dict keyed by permutation).
+    ``cache`` is a caller-owned trace table (a dict keyed by permutation)
+    shared across calls in one ring mode; by default each call has its own.
     """
     if not word.is_classical:
         raise PreconditionError(
@@ -86,7 +84,7 @@ def weight_sums(
     Resolving the d singular letters gives 2^d classical closures; S_g
     is the sum over those whose pattern has g ones.  No bound is checked.
     """
-    table = _caches.setdefault(ring.key, {}) if cache is None else cache
+    table = {} if cache is None else cache
     d = word.sing_count
     n, letters, delta_pow = _simplify(word.strands, word.letters)
     state = {(0, tuple(range(n))): ring.one}

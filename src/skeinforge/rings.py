@@ -334,8 +334,6 @@ class Ring:
         "smooth_pos",
         "switch_neg",
         "smooth_neg",
-        "_delta_pows",
-        "_denom_pows",
         "scalar_zero",
         "scalar_one",
     )
@@ -364,8 +362,6 @@ class Ring:
         self.smooth_pos = self.t * self.x
         self.switch_neg = self.t_inv * self.t_inv
         self.smooth_neg = -(self.t_inv * self.x)
-        self._delta_pows = [self.one]
-        self._denom_pows = [self.one]
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)
         self.scalar_one = LocalizedScalar._make(self, self.one, 0)
 
@@ -391,16 +387,17 @@ class Ring:
         return LaurentPoly(self.base, items)
 
     def delta_pow(self, k: int) -> LaurentPoly:
-        pows = self._delta_pows
-        while len(pows) <= k:
-            pows.append(pows[-1] * self.delta)
-        return pows[k]
+        return self._pow(self.delta, k)
 
     def denom_pow(self, k: int) -> LaurentPoly:
-        pows = self._denom_pows
-        while len(pows) <= k:
-            pows.append(pows[-1] * self.denom)
-        return pows[k]
+        return self._pow(self.denom, k)
+
+    def _pow(self, base: LaurentPoly, k: int) -> LaurentPoly:
+        # Square-and-multiply for k >= 0; nothing is kept between calls.
+        if k < 2:
+            return base if k else self.one
+        half = self._pow(base * base, k >> 1)
+        return half * base if k & 1 else half
 
     def scalar(self, num: LaurentPoly, dpow: int = 0) -> "LocalizedScalar":
         return LocalizedScalar(self, num, dpow)

@@ -261,8 +261,9 @@ def eval_vector(
 ) -> dict[tuple[int, ...], LaurentPoly]:
     """Polynomial value of every full resolution, keyed by bit pattern."""
     _check_bounds(link, max_sing, max_crossings)
+    table: dict = {}  # one trace table for the 2^d calls, dropped on return
     return {
-        bits: homfly(resolve_all(link, bits), ring, max_crossings=max_crossings)
+        bits: homfly(resolve_all(link, bits), ring, max_crossings=max_crossings, cache=table)
         for bits in all_patterns(link.d)
     }
 

@@ -124,6 +124,10 @@ def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err and "Traceback" not in err
+    # The error names the unread flag, not the word its value displaced.
+    assert next(a for a in argv if a.startswith("--")) in err
+    if argv[0] != "check":
+        assert argv[-1] not in err
 
 
 def test_exit_code_bounds(capsys):

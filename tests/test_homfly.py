@@ -1,6 +1,8 @@
 """The classical evaluator: pinned values, defining properties, oracle spot checks."""
 
+import gc
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -208,13 +210,13 @@ def test_weight_sums_match_oracle():
 
 
 def test_trace_table_is_bounded_by_the_permutations():
-    # The table holds at most one entry per permutation on 1..6 strands.
-    clear_cache()
+    # A shared table holds at most one entry per permutation on 1..6 strands.
+    cache: dict = {}
     rng = random.Random(808)
     for _ in range(200):
         link = random_word(rng, strands=rng.randint(3, 6), classical=24)
-        homfly(link.word, R)
-    assert len(engine._caches[R.key]) <= 1 + 2 + 6 + 24 + 120 + 720
+        homfly(link.word, R, cache=cache)
+    assert len(cache) <= 1 + 2 + 6 + 24 + 120 + 720
 
 
 def test_table_values():
@@ -243,10 +245,20 @@ def test_fresh_cache_gives_same_answer():
     assert homfly(TREFOIL, R, cache={}) == TREFOIL_VALUE
 
 
-def test_clear_cache_empties_every_module_cache():
-    for ring in (R, CONWAY, gf(5)):
-        homfly(TREFOIL, ring)
-    assert {R.key, CONWAY.key, gf(5).key} <= set(engine._caches)
-    clear_cache()
-    assert not engine._caches
+def test_no_memory_outlives_a_call():
+    # The 400-strand unknot with a kink asks for delta^398, and the 13-strand word
+    # s1 s1 s2 s2 ... s12 s12 fills a trace table of 8191 entries.
+    doubled = " ".join(f"s{i} s{i}" for i in range(1, 13))
+    words = [parse_word("400: s1"), parse_word(f"13: {doubled}")]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for word in words:
+            homfly(word, R)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    clear_cache()  # still callable, and a no-op
     assert homfly(TREFOIL, R) == TREFOIL_VALUE

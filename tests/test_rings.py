@@ -197,6 +197,15 @@ def test_ring_axioms(data):
     assert a - a == ring.zero
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODES), st.integers(0, 40), st.integers(0, 40))
+def test_powers_are_multiplicative(ring, j, k):
+    # delta_pow and denom_pow square and multiply afresh on every call.
+    assert ring.delta_pow(j + k) == ring.delta_pow(j) * ring.delta_pow(k)
+    assert ring.denom_pow(k + 1) == ring.denom_pow(k) * ring.denom
+    assert ring.delta_pow(0) == ring.denom_pow(0) == ring.one
+
+
 # -- localized scalars ---------------------------------------------------
 
 
