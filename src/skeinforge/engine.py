@@ -12,14 +12,16 @@ permutations in one-line notation.  With v = w s_i, ``_act`` applies
     otherwise:      T_w g_i = t x T_w + t^2 T_v,
                     T_w g_i^(-1) = T_v,
 
-whose four monomials are the skein steps interned on ``Ring``.  The
-trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when w
-fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
-with no writhe factor.  So a w moving n is peeled as
-w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
-that product expanded with ``_act``.  Trace values are memoized per
-permutation in a table that lives for one call (or in the caller's
-``cache``), so it holds at most 1! + ... + n! entries.
+whose four monomials, the skein steps interned on ``Ring``, act as
+exponent shifts with a coefficient on a state of plain integers
+{(g, w, e_t, e_x): c}, reduced mod p once per letter.  The trace
+satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when w fixes n,
+and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1), with no
+writhe factor.  So a w moving n is peeled as w = u s_(n-1) ... s_k, and
+tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k), that product expanded with
+``_act``.  Trace values are memoized per permutation in a table that
+lives for one call (or in the caller's ``cache``), so it holds at most
+1! + ... + n! entries.
 
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
@@ -37,9 +39,11 @@ from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring
 
-__all__ = ["DEFAULT_MAX_CROSSINGS", "unlink_value", "homfly", "weight_sums", "clear_cache"]
+__all__ = ["DEFAULT_MAX_CROSSINGS", "MAX_STRANDS", "unlink_value", "homfly", "weight_sums", "clear_cache"]
 
 DEFAULT_MAX_CROSSINGS = 24
+# "2048: s1" answers in about 2 s: each free strand costs a delta factor.
+MAX_STRANDS = 2048
 
 
 def clear_cache() -> None:
@@ -73,7 +77,14 @@ def homfly(
         raise BoundError(
             f"{len(word.letters)} crossings exceeds the bound {max_crossings}"
         )
+    _check_strands(word)
     return weight_sums(word, ring, cache=cache)[0]
+
+
+def _check_strands(word: SingularBraidWord) -> None:
+    """Refuse a declared strand count above MAX_STRANDS before any per-strand work."""
+    if word.strands > MAX_STRANDS:
+        raise BoundError(f"{word.strands} strands exceeds the bound {MAX_STRANDS}")
 
 
 def weight_sums(
@@ -85,46 +96,64 @@ def weight_sums(
     is the sum over those whose pattern has g ones.  No bound is checked.
     """
     table = {} if cache is None else cache
-    d = word.sing_count
+    monomials = (ring.smooth_pos, ring.switch_pos, ring.smooth_neg, ring.switch_neg)
+    steps = tuple((*key, c) for m in monomials for key, c in m.terms.items())
     n, letters, delta_pow = _simplify(word.strands, word.letters)
-    state = {(0, tuple(range(n))): ring.one}
+    state = {(0, tuple(range(n)), 0, 0): 1}
     for kind, i in letters:
-        state = _act(state, kind, i, ring)
-    sums = [ring.zero] * (d + 1)
-    for (g, w), c in state.items():
-        sums[g] = sums[g] + c * _tau(w, ring, table)
+        state = _act(state, kind, i, steps, ring.base.p)
+    sums = _contract(state, word.sing_count, ring, table, steps)
     if delta_pow:
         factor = ring.delta_pow(delta_pow)
         sums = [s * factor for s in sums]
     return sums
 
 
-def _act(state: dict, kind: int, i: int, ring: Ring) -> dict:
+def _canonical(acc: dict, p: int | None) -> dict:
+    """Drop zero coefficients, after reducing mod p over GF(p)."""
+    return {key: r for key, c in acc.items() if (r := c % p if p else c)}
+
+
+def _act(state: dict, kind: int, i: int, steps: tuple, p: int | None) -> dict:
     """The state times g_i (POS), g_i^(-1) (NEG) or 1 + Y g_i^(-1) (SING)."""
+    pos, sing = kind == POS, kind == SING
+    # The smoothing stays at T_w and the switch moves to T_v.
+    (mt, mx, mc), (nt, nx, nc) = steps[:2] if pos else steps[2:]
     out: dict = {}
     get = out.get
-    for (g, w), c in state.items():
-        if kind == SING:
-            key = (g, w)
-            old = get(key)
-            out[key] = c if old is None else old + c
+    swaps: dict = {}
+    for key, c in state.items():
+        g, w, e_t, e_x = key
+        if sing:
+            out[key] = get(key, 0) + c
             g += 1
         a, b = w[i - 1], w[i]
-        v = w[: i - 1] + (b, a) + w[i + 1 :]
-        if (a < b) == (kind == POS):
+        v = swaps.get(w)
+        if v is None:
+            v = swaps[w] = w[: i - 1] + (b, a) + w[i + 1 :]
+        if (a < b) == pos:
             # g_i lengthens w, or g_i^(-1) shortens it: a plain move to T_v.
-            terms = (((g, v), c),)
-        elif kind == POS:
-            terms = (((g, w), c * ring.smooth_pos), ((g, v), c * ring.switch_pos))
+            key = (g, v, e_t, e_x)
+            out[key] = get(key, 0) + c
         else:
-            terms = (((g, v), c * ring.switch_neg), ((g, w), c * ring.smooth_neg))
-        for key, value in terms:
-            old = get(key)
-            out[key] = value if old is None else old + value
-    return {key: c for key, c in out.items() if c}
+            key, other = (g, w, e_t + mt, e_x + mx), (g, v, e_t + nt, e_x + nx)
+            out[key] = get(key, 0) + c * mc
+            out[other] = get(other, 0) + c * nc
+    return _canonical(out, p)
 
 
-def _tau(w: tuple, ring: Ring, table: dict) -> LaurentPoly:
+def _contract(state: dict, d: int, ring: Ring, table: dict, steps: tuple) -> list[LaurentPoly]:
+    """[sum over the Y^g part of c t^e_t x^e_x tau(T_w) for g in 0..d]."""
+    accs: list[dict] = [{} for _ in range(d + 1)]
+    for (g, w, e_t, e_x), c in state.items():
+        acc = accs[g]
+        for (ft, fx), f in _tau(w, ring, table, steps).terms.items():
+            key = (e_t + ft, e_x + fx)
+            acc[key] = acc.get(key, 0) + c * f
+    return [LaurentPoly._raw(ring.base, _canonical(acc, ring.base.p)) for acc in accs]
+
+
+def _tau(w: tuple, ring: Ring, table: dict, steps: tuple) -> LaurentPoly:
     """Ocneanu trace of T_w, normalized so the one-strand closure is 1."""
     value = table.get(w)
     if value is not None:
@@ -133,16 +162,14 @@ def _tau(w: tuple, ring: Ring, table: dict) -> LaurentPoly:
     if n <= 1:
         value = ring.one
     elif w[-1] == n - 1:
-        value = ring.delta * _tau(w[:-1], ring, table)
+        value = ring.delta * _tau(w[:-1], ring, table, steps)
     else:
         # w = u s_(n-1) ... s_(k+1), with n at (0-based) position k.
         k = w.index(n - 1)
-        state = {(0, w[:k] + w[k + 1 :]): ring.one}
+        state = {(0, w[:k] + w[k + 1 :], 0, 0): 1}
         for i in range(n - 2, k, -1):
-            state = _act(state, POS, i, ring)
-        value = ring.zero
-        for (_, v), c in state.items():
-            value = value + c * _tau(v, ring, table)
+            state = _act(state, POS, i, steps, ring.base.p)
+        value = _contract(state, 0, ring, table, steps)[0]
     table[w] = value
     return value
 

@@ -140,7 +140,7 @@ class LaurentPoly:
         return bool(self.terms)
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.base != other.base:
+        if self.base is not other.base and self.base != other.base:
             raise ValueError(
                 f"coefficient rings differ: {self.base} vs {other.base}"
             )
@@ -310,8 +310,8 @@ class Ring:
     x(t^(-1) - t) on the diagonal and ``inv_off`` = -x^2 off it, and the
     skein-step monomials of the engine: switching a positive (negative)
     crossing costs ``switch_pos`` = t^2 (``switch_neg`` = t^(-2)),
-    smoothing it ``smooth_pos`` = t x (``smooth_neg`` = -t^(-1) x); the
-    rest of the package never rebuilds them.
+    smoothing it ``smooth_pos`` = t x (``smooth_neg`` = -t^(-1) x), which
+    the engine reads as (de_t, de_x, coefficient) shifts once per call.
     Use :meth:`Ring.get` to share instances.
     """
 

@@ -44,7 +44,7 @@ from typing import Mapping
 
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
-from .engine import DEFAULT_MAX_CROSSINGS, homfly, weight_sums
+from .engine import DEFAULT_MAX_CROSSINGS, _check_strands, homfly, weight_sums
 from .rings import LaurentPoly, LocalizedScalar, Ring, _mono_str
 
 __all__ = [
@@ -275,6 +275,7 @@ def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) 
         raise BoundError(
             f"{len(link.word.letters)} letters exceeds the crossing bound {max_crossings}"
         )
+    _check_strands(link.word)
 
 
 def _axis_pass(vec: list, d: int, diag, off) -> None:

@@ -1,6 +1,8 @@
 """The command-line surface: output formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import skeinforge
 from skeinforge.cli import main
@@ -137,6 +141,16 @@ def test_exit_code_bounds(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["invariant", "homfly"])
+@pytest.mark.parametrize("count", ["99999999999999999999", "2049"])
+def test_strand_count_above_the_bound_is_exit_3(capsys, command, count):
+    # Refused before any per-strand allocation, which a 20-digit count
+    # could not even make.
+    code, out, err = run(capsys, command, f"{count}: s1")
+    assert (code, out) == (3, "")
+    assert err == f"bound exceeded: {count} strands exceeds the bound 2048\n"
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "homfly", "2: t1")
     assert code == 4 and "precondition" in err
@@ -146,6 +160,53 @@ def test_usage_error_is_exit_2(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "invariant", "--jobs", "2", "2: t1")[0] == 2
+
+
+# -- fuzzed argv ---------------------------------------------------------------
+
+_HEADS = ["1:", "2:", "3:", "4:", "5:", "6:", "6", ":", "0:", "2049:", "99999999999999999999:"]
+_JUNK = ["|", "o", "=", "| o = 1", "| o = 2 1", "wat", "s", "t1^-1", "s1^2", "\u00b2", "s\u0661", "\u00e9", "-", ""]
+_FLAGS = [
+    ["--json"], ["--ordered"], ["--ring", "conway"], ["--ring", "gf:5"], ["--ring", "gf:6"],
+    ["--ring", "gf:\u0665"], ["--ring"], ["--max-crossings", "3"], ["--max-crossings", "0"],
+    ["--max-crossings", "99999999999999999999"], ["--max-sing", "2"], ["--max-sing", "-1"],
+    ["--max-sing"], ["--seed", "3"], ["--jobs", "2"], ["--ord"], ["--json=1"], ["-x"], ["--"], ["-h"],
+]
+_LETTERS = st.builds("{}{}{}".format, st.sampled_from("st"), st.integers(0, 7), st.sampled_from(["", "^-1"]))
+_WORDS = st.builds(
+    lambda head, tokens: " ".join([head, *tokens]),
+    st.sampled_from(_HEADS),
+    st.lists(st.one_of(_LETTERS, _LETTERS, st.sampled_from(_JUNK)), max_size=6),
+)
+
+
+def _argv(command, word, flags, split):
+    # The flags' tokens go before the word, after it, or around it.
+    tokens = [tok for flag in flags for tok in flag]
+    return [command, *tokens[:split], word, *tokens[split:]]
+
+
+_ARGV = st.builds(
+    _argv,
+    st.sampled_from(["invariant", "homfly"]),
+    _WORDS,
+    st.lists(st.sampled_from(_FLAGS), max_size=3),
+    st.integers(0, 6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ARGV)
+@example(["invariant", "99999999999999999999: s1"])
+@example(["homfly", "--json", "2049: s1 s2"])
+def test_any_argv_ends_cleanly(argv):
+    # Every argv answers or exits 2, 3 or 4 with nothing on stdout.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert code == 0 or out.getvalue() == "", argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 # -- JSON --------------------------------------------------------------------
@@ -189,6 +250,8 @@ def test_check_json(capsys):
     assert report["seed"] == 9
 
 
+ROADMAP_WORD = "5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1"
+
 # SHA-256 of the stdout of every invariant output form, made with the
 # unordered answer taken as the projection of the solved coordinates.
 PINNED_INVARIANT_DIGESTS = [
@@ -216,6 +279,11 @@ PINNED_INVARIANT_DIGESTS = [
     ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", ("--ordered",), "57c2f92e4e70af77a87a392c5ef32545d17a0f1a8f88c7980b8de56f2aca4668"),
     ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", ("--json",), "25d1a06cf40e265a62bda11a71828fee0a163086eda72cd1482c71dff62b4448"),
     ("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3", "gf:5", ("--json", "--ordered"), "203397ed05a351757ac5bcdc97463461ed1b8d1289e77886f15eb1fb5a4a1a22"),
+    # The d = 10 word of ROADMAP.md, made from the weight sums of the
+    # LaurentPoly-valued Hecke pass.
+    (ROADMAP_WORD, "generic", (), "a68dfc517656314aa89d892950e6afcb771f7f086035aae033102b5136198138"),
+    (ROADMAP_WORD, "conway", (), "f1255c3220fb402d9e8f864c735a8f32a4bc5558240402af0082daea7afb7f8e"),
+    (ROADMAP_WORD, "gf:5", (), "11c64949303e03abeab28b64a7d64cabe807f2e216f30f6cd5beb89239aa3d5e"),
 ]
 
 
