@@ -196,14 +196,17 @@ def _cmd_check(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+# Built once per process: parsing keeps no state in the parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
+        args, extras = _PARSER.parse_known_args(argv)
         if extras:
             # An unread flag's value may have displaced the word: name the flags.
             flags = [a for a in extras if a.startswith("-")] or extras
-            parser.error("unrecognized arguments: " + " ".join(flags))
+            _PARSER.error("unrecognized arguments: " + " ".join(flags))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

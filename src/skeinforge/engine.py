@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
-from .rings import LaurentPoly, Ring
+from .rings import LaurentPoly, Ring, _canonical
 
 __all__ = ["DEFAULT_MAX_CROSSINGS", "MAX_STRANDS", "unlink_value", "homfly", "weight_sums", "clear_cache"]
 
@@ -107,11 +107,6 @@ def weight_sums(
         factor = ring.delta_pow(delta_pow)
         sums = [s * factor for s in sums]
     return sums
-
-
-def _canonical(acc: dict, p: int | None) -> dict:
-    """Drop zero coefficients, after reducing mod p over GF(p)."""
-    return {key: r for key, c in acc.items() if (r := c % p if p else c)}
 
 
 def _act(state: dict, kind: int, i: int, steps: tuple, p: int | None) -> dict:

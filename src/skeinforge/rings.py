@@ -414,16 +414,75 @@ class Ring:
         return f"Ring({self.name})"
 
 
+def _canonical(acc: dict, p: int | None) -> dict:
+    """Drop zero coefficients, after reducing mod p over GF(p)."""
+    return {key: r for key, c in acc.items() if (r := c % p if p else c)}
+
+
 def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPoly, int]:
+    """Normal form of num / D^dpow: divide D out of num while it divides exactly.
+
+    In every mode D's top t-row is one unit monomial u: t^2 in generic
+    and GF(p), -x^2 in conway, where D is a unit.  So dividing by D peels
+    the numerator one t-row at a time, top down: the quotient's next row
+    is the remainder's top row divided by u (a shift and a sign), and D
+    times that row is subtracted from the rows below.  Once every row
+    with D's t-span beneath it is peeled, D divides exactly when no row
+    is left.  Nothing searches for a leading term.
+    """
     if not num.terms:
         return ring.zero, 0
-    while dpow > 0:
-        q = exact_div(num, ring.denom)
-        if q is None:
+    if not dpow:
+        return num, 0
+    p = ring.base.p
+    denom: dict[int, list] = {}
+    for (e_t, e_x), c in ring.denom.terms.items():
+        denom.setdefault(e_t, []).append((e_x, c))
+    top = max(denom)
+    ((top_x, top_c),) = denom.pop(top)
+    # A unit of the integers is its own inverse.
+    inv = pow(top_c, -1, p) if p else top_c
+    lower = [(e_t - top, terms) for e_t, terms in denom.items()]
+    span = top - min(denom, default=top)
+    rows: dict[int, dict] = {}
+    for (e_t, e_x), c in num.terms.items():
+        rows.setdefault(e_t, {})[e_x] = c
+    start = dpow
+    while dpow:
+        quot = _peel(rows, top, top_x, inv, lower, span, p)
+        if quot is None:
             break
-        num = q
-        dpow -= 1
-    return num, dpow
+        rows, dpow = quot, dpow - 1
+    if dpow == start:
+        return num, dpow
+    terms = {(e_t, e_x): c for e_t, row in rows.items() for e_x, c in row.items()}
+    return LaurentPoly._raw(ring.base, terms), dpow
+
+
+def _peel(
+    rows: dict, top: int, top_x: int, inv: int, lower: list, span: int, p: int | None
+) -> dict | None:
+    """The t-rows of rows / D, top down, or None when D does not divide."""
+    low = min(rows)
+    quot: dict[int, dict] = {}
+    for e_t in range(max(rows), low - 1, -1):
+        # The remainder's row e_t: the numerator's, less D times the
+        # quotient rows already found.
+        row = dict(rows.get(e_t, ()))
+        get = row.get
+        for shift, terms in lower:
+            q_row = quot.get(e_t - top - shift)
+            if q_row:
+                for e_x, c in q_row.items():
+                    for f_x, f in terms:
+                        key = e_x + f_x
+                        row[key] = get(key, 0) - c * f
+        if not row or not (row := _canonical(row, p)):
+            continue
+        if e_t < low + span:
+            return None
+        quot[e_t - top] = {e_x - top_x: c * inv % p if p else c * inv for e_x, c in row.items()}
+    return quot
 
 
 class LocalizedScalar:

@@ -33,6 +33,11 @@ projection of the solved coordinates, term for term.  ``invariant``
 computes the polynomial this way, with or without ``--ordered``, and
 takes the weight sums from the engine's graded pass
 (``engine.weight_sums``), which never forms the 2^d resolutions.
+Expanding both binomials, [z^j] of row w is an integer combination of
+the d + 1 products A^a B^(d-a), so the kernel is integer binomials
+(``_weight_kernel``) and the sum runs on flat integer terms: for each j,
+sum_a A^a B^(d-a) T_a by Horner in A, with T_a an integer combination
+of the S_w and B a monomial.
 ``eval_vector`` lists the resolution values for ``--ordered``;
 ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
@@ -40,12 +45,13 @@ reference that the tests and the check suites compare against.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Mapping
 
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import DEFAULT_MAX_CROSSINGS, _check_strands, homfly, weight_sums
-from .rings import LaurentPoly, LocalizedScalar, Ring, _mono_str
+from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str
 
 __all__ = [
     "DEFAULT_MAX_SING",
@@ -372,22 +378,20 @@ def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
     return SkeinPolynomial(element.ring, out)
 
 
-def _zmul(ring: Ring, p: list, q: list) -> list:
-    """Product of two polynomials in z given as coefficient lists."""
-    out = [ring.zero] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        for j, e in enumerate(q):
-            out[i + j] = out[i + j] + c * e
-    return out
+def _weight_kernel(d: int) -> list[list[list[tuple[int, int]]]]:
+    """Integer form of the rows [z^j] (A + B z)^(d - w) (B + A z)^w, by j and a.
 
-
-def _weight_kernel(ring: Ring, d: int) -> list[list[LaurentPoly]]:
-    """Row w lists the z^j coefficients of (A + B z)^(d - w) (B + A z)^w."""
-    powers = [[ring.one]]  # powers[k] holds the coefficients of (A + B z)^k
-    for _ in range(d):
-        powers.append(_zmul(ring, powers[-1], [ring.inv_diag, ring.inv_off]))
-    # (B + A z)^w is (A + B z)^w with its coefficients reversed.
-    return [_zmul(ring, powers[d - w], powers[w][::-1]) for w in range(d + 1)]
+    Expanding both binomials, [z^j] of row w is the sum over i of
+    C(d - w, i) C(w, j - i) A^a B^(d - a) with a = d - w - 2i + j.  Entry
+    [j][a] lists the pairs (w, C(d - w, i) C(w, j - i)) of that sum, so
+    the rows need no ring at all.
+    """
+    kernel = [[[] for _ in range(d + 1)] for _ in range(d + 1)]
+    for w in range(d + 1):
+        for j in range(d + 1):
+            for i in range(max(0, j - w), min(d - w, j) + 1):
+                kernel[j][d - w - 2 * i + j].append((w, comb(d - w, i) * comb(w, j - i)))
+    return kernel
 
 
 def invariant(
@@ -404,12 +408,15 @@ def invariant(
 
         D^(-d) sum_w [z^j] (A + B z)^(d-w) (B + A z)^w S_w,
 
-    where A = x(t^(-1) - t) and B = -x^2 are the entries of D M^(-1),
-    so it costs O(d^2) polynomial products and d + 1 normal forms.  It is
-    exact: the z^j coefficient of that product is the sum, over the
-    coordinates of weight j, of the A/B factors pattern eps of weight w
-    sends them (see the module docstring), so only the grouping of exact
-    sums differs from ``project_unordered(solve_coordinates(...))``.
+    where A = x(t^(-1) - t) and B = -x^2 are the entries of D M^(-1).
+    The kernel is integer binomials; per j the sum runs by Horner in A
+    on flat integer terms, so it costs O(d^2) products by the two-term A
+    and O(d^3) integer-scaled additions of weight sums, then d + 1
+    row-wise normal forms by D.  It is exact: the z^j coefficient of that
+    product is the sum, over the coordinates of weight j, of the A/B
+    factors pattern eps of weight w sends them (see the module
+    docstring), so only the grouping of exact sums differs from
+    ``project_unordered(solve_coordinates(...))``.
     The weight sums come from one graded pass of the engine over the
     word, each singular letter acting as 1 + Y g_i^(-1), so no resolution
     is evaluated on its own.  The CLI prints this polynomial on both
@@ -418,8 +425,30 @@ def invariant(
     """
     _check_bounds(link, max_sing, max_crossings)
     d = link.d
-    nums = [ring.zero] * (d + 1)
-    for weight_sum, row in zip(weight_sums(link.word, ring), _weight_kernel(ring, d)):
-        for j, c in enumerate(row):
-            nums[j] = nums[j] + c * weight_sum
-    return SkeinPolynomial(ring, {(d - j, j): ring.scalar(num, d) for j, num in enumerate(nums)})
+    sums = [weight_sum.terms.items() for weight_sum in weight_sums(link.word, ring)]
+    p = ring.base.p
+    ((b_t, b_x), b_c), = ring.inv_off.terms.items()
+    diag = ring.inv_diag.terms.items()
+    coeffs = {}
+    for j, by_power in enumerate(_weight_kernel(d)):
+        # sum_a A^a B^(d-a) T_a, T_a = sum_w n S_w, by Horner in A; B is a monomial.
+        acc: dict = {}
+        for a in range(d, -1, -1):
+            if acc:
+                prev, acc = acc, {}
+                get = acc.get
+                for (e_t, e_x), c in prev.items():
+                    for (f_t, f_x), f in diag:
+                        key = (e_t + f_t, e_x + f_x)
+                        acc[key] = get(key, 0) + c * f
+            k = d - a
+            s_t, s_x, scale = k * b_t, k * b_x, b_c**k
+            get = acc.get
+            for w, n in by_power[a]:
+                n *= scale
+                for (e_t, e_x), c in sums[w]:
+                    key = (e_t + s_t, e_x + s_x)
+                    acc[key] = get(key, 0) + n * c
+        num = LaurentPoly._raw(ring.base, _canonical(acc, p))
+        coeffs[(d - j, j)] = ring.scalar(num, d)
+    return SkeinPolynomial(ring, coeffs)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skeinforge
+from skeinforge import cli
 from skeinforge.cli import main
 
 
@@ -304,6 +306,32 @@ def test_byte_identical_output(capsys):
     a = run(capsys, "check", "lemma22", "--seed", "12")
     b = run(capsys, "check", "lemma22", "--seed", "12")
     assert a == b and a[0] == 0
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    word = "3: t1 s2 t2 | o = 2 1"
+    sequence = [
+        ["invariant", "--ordered", word],
+        ["invariant", word],
+        ["invariant", "--no-such-flag", word],
+        ["homfly", "--json", "2: s1 s1 s1"],
+    ]
+    shared = [run(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "a[" in shared[0][1] and "a[" not in shared[1][1]
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["skeinforge", "homfly", "2: s1 s1 s1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("skeinforge", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == run(capsys, "homfly", "2: s1 s1 s1")[1]
 
 
 def test_gf_ring_flag(capsys):

@@ -18,6 +18,7 @@ from skeinforge import (
     specialize,
     specialize_scalar,
 )
+from skeinforge.rings import _reduce_fraction
 
 MODES = (GENERIC, CONWAY, gf(5))
 
@@ -163,6 +164,56 @@ def test_exact_div_large_numerators(ring):
         multiple = n * ring.denom_pow(k)
         assert exact_div(multiple, ring.denom) == n * ring.denom_pow(k - 1)
         assert exact_div(multiple + ring.one, ring.denom) is None
+
+
+def _reduce_by_exact_div(ring, num, dpow):
+    # The normal form as computed before the row-wise peel: one exact_div
+    # by D per step while it divides.
+    if not num.terms:
+        return ring.zero, 0
+    while dpow > 0:
+        q = exact_div(num, ring.denom)
+        if q is None:
+            break
+        num, dpow = q, dpow - 1
+    return num, dpow
+
+
+NORMAL_FORM_MODES = (GENERIC, CONWAY, gf(2), gf(3), gf(5))
+
+
+def normal_form_cases():
+    # n D^k times a monomial divides k times; n D^k + 1 usually does not.
+    return st.sampled_from(NORMAL_FORM_MODES).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            poly_strategy(ring, max_terms=6),
+            st.integers(0, 6),
+            st.integers(0, 3),
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+            st.booleans(),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_form_cases())
+def test_row_wise_normal_form_matches_exact_div(data):
+    ring, n, k, extra, (e_t, e_x), divisible = data
+    num = n * ring.denom_pow(k)
+    num = num * ring.monomial(1, e_t, e_x) if divisible else num + ring.one
+    for dpow in (0, k, k + extra):
+        assert _reduce_fraction(ring, num, dpow) == _reduce_by_exact_div(ring, num, dpow)
+
+
+@pytest.mark.parametrize("ring", NORMAL_FORM_MODES, ids=lambda r: r.name)
+def test_row_wise_normal_form_of_zero_and_powers_of_d(ring):
+    for k in range(7):
+        assert _reduce_fraction(ring, ring.zero, k) == (ring.zero, 0)
+        assert _reduce_fraction(ring, ring.denom_pow(k), k) == (ring.one, 0)
+        assert _reduce_fraction(ring, ring.denom_pow(k), k + 2) == _reduce_by_exact_div(
+            ring, ring.denom_pow(k), k + 2
+        )
 
 
 # -- ring axioms ---------------------------------------------------------

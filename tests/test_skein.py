@@ -31,6 +31,7 @@ from skeinforge import (
     star,
 )
 from skeinforge.braid import random_word
+from skeinforge.skein import _weight_kernel
 
 R = GENERIC
 MODES = (GENERIC, CONWAY, gf(5))
@@ -238,6 +239,41 @@ def test_invariant_matches_projected_coordinates(ring):
         for _ in range(2):
             link = random_word(rng, strands=rng.randint(2, 4), classical=rng.randint(0, 6), sing=d, shuffle_labels=True)
             assert invariant(link, ring) == project_unordered(invariant_ordered(link, ring))
+
+
+def _zmul(ring, p, q):
+    # Product of two polynomials in z given as LaurentPoly coefficient lists.
+    out = [ring.zero] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, e in enumerate(q):
+            out[i + j] = out[i + j] + c * e
+    return out
+
+
+def _kernel_by_expansion(ring, d):
+    # Row w: the z^j coefficients of (A + B z)^(d - w) (B + A z)^w, multiplied out.
+    powers = [[ring.one]]
+    for _ in range(d):
+        powers.append(_zmul(ring, powers[-1], [ring.inv_diag, ring.inv_off]))
+    return [_zmul(ring, powers[d - w], powers[w][::-1]) for w in range(d + 1)]
+
+
+@pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
+def test_weight_kernel_matches_expansion(ring):
+    for d in range(11):
+        # flat[a] = A^a B^(d - a)
+        flat = [ring.one] * (d + 1)
+        for a in range(d + 1):
+            for _ in range(a):
+                flat[a] = flat[a] * ring.inv_diag
+            for _ in range(d - a):
+                flat[a] = flat[a] * ring.inv_off
+        rows = [[ring.zero] * (d + 1) for _ in range(d + 1)]
+        for j, by_power in enumerate(_weight_kernel(d)):
+            for a, pairs in enumerate(by_power):
+                for w, n in pairs:
+                    rows[w][j] = rows[w][j] + ring.monomial(n) * flat[a]
+        assert rows == _kernel_by_expansion(ring, d), d
 
 
 def test_skein_polynomial_strings():
