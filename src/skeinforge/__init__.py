@@ -5,7 +5,11 @@ one pass over the word in the Hecke algebra followed by its trace;
 singular links resolve into a cube of classical closures whose values
 determine coordinates in a free basis, and summing over label patterns
 yields a polynomial in the two generator links X and Y.  All arithmetic is exact, over the
-integers, over GF(p), or with t specialized to 1.
+integers, over GF(p), or with t specialized to 1.  Each of these modes is
+one shared ``Ring``, and every value carries the ring it was built in:
+mixing values of different rings raises ``ValueError``, and
+``specialize`` (or ``specialize_scalar``) is the only way to move a
+value from one ring into another.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +42,6 @@ from .oracle import homfly_reference
 from .rings import (
     CONWAY,
     GENERIC,
-    BaseRing,
     LaurentPoly,
     LocalizedScalar,
     Ring,
@@ -81,7 +84,6 @@ __all__ = [
     "permute_bits",
     "all_patterns",
     "components_unionfind",
-    "BaseRing",
     "LaurentPoly",
     "LocalizedScalar",
     "Ring",

@@ -43,7 +43,6 @@ __all__ = [
     "reorder",
     "permute_bits",
     "all_patterns",
-    "closure_components",
     "components_unionfind",
     "X",
     "Y",
@@ -85,8 +84,20 @@ class SingularBraidWord:
         return all(kind != SING for kind, _ in self.letters)
 
     def components(self) -> int:
-        """Number of components of the braid closure."""
-        return closure_components(self.strands, self.letters)
+        """Number of components of the braid closure: cycles of the strand permutation."""
+        arr = list(range(self.strands))  # arr[position] = strand, 0-based
+        for _, i in self.letters:
+            arr[i - 1], arr[i] = arr[i], arr[i - 1]
+        seen = [False] * self.strands
+        count = 0
+        for s in range(self.strands):
+            if seen[s]:
+                continue
+            count += 1
+            while not seen[s]:
+                seen[s] = True
+                s = arr[s]
+        return count
 
     def render(self) -> str:
         head = f"{self.strands}:"
@@ -96,27 +107,6 @@ class SingularBraidWord:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def closure_components(strands: int, letters: Sequence[Letter]) -> int:
-    """Components of the closure of ``letters`` on ``strands`` strands.
-
-    Counts the cycles of the strand permutation.  Takes raw letters so
-    the engine can call it without building (and re-validating) a word.
-    """
-    arr = list(range(strands))  # arr[position] = strand, 0-based
-    for _, i in letters:
-        arr[i - 1], arr[i] = arr[i], arr[i - 1]
-    seen = [False] * strands
-    count = 0
-    for s in range(strands):
-        if seen[s]:
-            continue
-        count += 1
-        while not seen[s]:
-            seen[s] = True
-            s = arr[s]
-    return count
 
 
 def _letter_str(letter: Letter) -> str:
@@ -353,8 +343,8 @@ def permute_bits(bits: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
 def components_unionfind(word: SingularBraidWord) -> int:
     """Component count by union-find over strand arcs.
 
-    An independent cross-check of :func:`closure_components`; the tests
-    compare the two.
+    An independent cross-check of :meth:`SingularBraidWord.components`;
+    the tests compare the two.
     """
     n, m = word.strands, len(word.letters)
     parent = list(range(n * (m + 1)))

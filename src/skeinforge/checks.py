@@ -170,9 +170,7 @@ def suite_skein(seed: int, cases: int = 200) -> SuiteReport:
 def _move_pair(rng: random.Random, move: str):
     """Two ordered links that present the same singular link, per ``move``."""
     strands = rng.randint(4 if move == "distant" else 2, 4)
-    if move == "braid_rel" and strands < 3:
-        strands = 3
-    if move == "mixed_triple" and strands < 3:
+    if move in ("braid_rel", "mixed_triple") and strands < 3:
         strands = 3
     sing_budget = rng.randint(0, 2)
     u_letters, u_ids, sing_budget = _segment(rng, strands, rng.randint(0, 3), sing_budget)

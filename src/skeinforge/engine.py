@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
-from .rings import LaurentPoly, Ring, _canonical
+from .rings import LaurentPoly, Ring, _canonical, _same_ring
 
 __all__ = ["DEFAULT_MAX_CROSSINGS", "MAX_STRANDS", "unlink_value", "homfly", "weight_sums", "clear_cache"]
 
@@ -67,7 +67,8 @@ def homfly(
     """Polynomial of the closure of a classical word, normalized to 1 on the unknot.
 
     ``cache`` is a caller-owned trace table (a dict keyed by permutation)
-    shared across calls in one ring mode; by default each call has its own.
+    shared across calls in one ring; by default each call has its own.  A
+    table that holds values of another ring raises ``ValueError``.
     """
     if not word.is_classical:
         raise PreconditionError(
@@ -94,14 +95,19 @@ def weight_sums(
 
     Resolving the d singular letters gives 2^d classical closures; S_g
     is the sum over those whose pattern has g ones.  No bound is checked.
+    ``cache`` must hold values of ``ring`` only, else ``ValueError``.
     """
     table = {} if cache is None else cache
+    # Every value a pass stores is of its ring, so one stored value decides.
+    for stored in table.values():
+        _same_ring(stored.ring, ring)
+        break
     monomials = (ring.smooth_pos, ring.switch_pos, ring.smooth_neg, ring.switch_neg)
     steps = tuple((*key, c) for m in monomials for key, c in m.terms.items())
     n, letters, delta_pow = _simplify(word.strands, word.letters)
     state = {(0, tuple(range(n)), 0, 0): 1}
     for kind, i in letters:
-        state = _act(state, kind, i, steps, ring.base.p)
+        state = _act(state, kind, i, steps, ring.p)
     sums = _contract(state, word.sing_count, ring, table, steps)
     if delta_pow:
         factor = ring.delta_pow(delta_pow)
@@ -145,7 +151,7 @@ def _contract(state: dict, d: int, ring: Ring, table: dict, steps: tuple) -> lis
         for (ft, fx), f in _tau(w, ring, table, steps).terms.items():
             key = (e_t + ft, e_x + fx)
             acc[key] = acc.get(key, 0) + c * f
-    return [LaurentPoly._raw(ring.base, _canonical(acc, ring.base.p)) for acc in accs]
+    return [LaurentPoly._raw(ring, _canonical(acc, ring.p)) for acc in accs]
 
 
 def _tau(w: tuple, ring: Ring, table: dict, steps: tuple) -> LaurentPoly:
@@ -163,7 +169,7 @@ def _tau(w: tuple, ring: Ring, table: dict, steps: tuple) -> LaurentPoly:
         k = w.index(n - 1)
         state = {(0, w[:k] + w[k + 1 :], 0, 0): 1}
         for i in range(n - 2, k, -1):
-            state = _act(state, POS, i, steps, ring.base.p)
+            state = _act(state, POS, i, steps, ring.p)
         value = _contract(state, 0, ring, table, steps)[0]
     table[w] = value
     return value

@@ -8,6 +8,13 @@ Three modes cover every coefficient ring the rest of the package uses:
   in x alone;
 * ``gf(p)``: coefficients reduced into the prime field GF(p).
 
+Each mode is one shared :class:`Ring`, and every value carries the ring
+it was built in.  Arithmetic and division that mix values of different
+rings raise ``ValueError``, and ``==`` between them is False, so every
+value belongs to exactly one mode.  :func:`specialize` and
+:func:`specialize_scalar` are the only ways to move a value from one
+ring into another.
+
 The only division ever needed is by powers of the fixed element
 
     D = t^(-2) - 2 + t^2 - x^2 = (t^(-1) - t - x)(t^(-1) - t + x),
@@ -20,12 +27,10 @@ between threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 __all__ = [
-    "BaseRing",
     "LaurentPoly",
     "LocalizedScalar",
     "Ring",
@@ -66,18 +71,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BaseRing:
-    """Coefficient domain: the integers when ``p`` is None, else GF(p)."""
+def _canonical(acc: dict, p: int | None) -> dict:
+    """Drop zero coefficients, after reducing mod p over GF(p)."""
+    return {key: r for key, c in acc.items() if (r := c % p if p else c)}
 
-    p: int | None = None
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
-
-    def __str__(self) -> str:
-        return "ZZ" if self.p is None else f"GF({self.p})"
+def _same_ring(a: "Ring", b: "Ring") -> None:
+    """Refuse to mix values of two rings; rings are shared, so this is identity."""
+    if a is not b:
+        raise ValueError(f"rings differ: {a.name} vs {b.name}")
 
 
 def _mono_str(e_t: int, e_x: int) -> str:
@@ -95,38 +97,36 @@ def _mono_str(e_t: int, e_x: int) -> str:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in t and x.
+    """Sparse Laurent polynomial in t and x, a value of one :class:`Ring`.
 
-    ``terms`` maps exponent pairs ``(e_t, e_x)`` to nonzero coefficients
-    (reduced residues over GF(p)); the map is canonical, so equal values
-    always carry identical term maps.  Instances are never mutated.
+    ``ring`` is the mode the value lives in; values of different rings
+    never mix (arithmetic raises ``ValueError``, ``==`` is False) and
+    only :func:`specialize` moves one into another ring.  ``terms`` maps
+    exponent pairs ``(e_t, e_x)`` to nonzero coefficients (reduced
+    residues over GF(p), with e_t = 0 in conway mode); the map is
+    canonical, so equal values always carry identical term maps.  The
+    constructor is the one canonicalizing path: it sums repeated keys,
+    folds t to 1 in conway mode and drops zeros.  Instances are never
+    mutated.
     """
 
-    __slots__ = ("base", "terms")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, base: BaseRing, terms: Mapping | Iterable = ()):
+    def __init__(self, ring: "Ring", terms: Mapping | Iterable = ()):
         acc: dict[tuple[int, int], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        conway = ring.conway
         for (e_t, e_x), c in items:
-            key = (e_t, e_x)
+            key = (0, e_x) if conway else (e_t, e_x)
             acc[key] = acc.get(key, 0) + c
-        p = base.p
-        if p is None:
-            clean = {k: c for k, c in acc.items() if c}
-        else:
-            clean = {}
-            for k, c in acc.items():
-                c %= p
-                if c:
-                    clean[k] = c
-        self.base = base
-        self.terms = clean
+        self.ring = ring
+        self.terms = _canonical(acc, ring.p)
 
     @classmethod
-    def _raw(cls, base: BaseRing, terms: dict) -> "LaurentPoly":
+    def _raw(cls, ring: "Ring", terms: dict) -> "LaurentPoly":
         # Internal fast path: terms must already be canonical.
         obj = cls.__new__(cls)
-        obj.base = base
+        obj.ring = ring
         obj.terms = terms
         return obj
 
@@ -139,19 +139,13 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.base is not other.base and self.base != other.base:
-            raise ValueError(
-                f"coefficient rings differ: {self.base} vs {other.base}"
-            )
-
     # -- arithmetic ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
-        p = self.base.p
+        _same_ring(self.ring, other.ring)
+        p = self.ring.p
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k, 0) + c
@@ -161,7 +155,7 @@ class LaurentPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return LaurentPoly._raw(self.base, out)
+        return LaurentPoly._raw(self.ring, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -169,20 +163,20 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        p = self.base.p
+        p = self.ring.p
         if p is None:
             out = {k: -c for k, c in self.terms.items()}
         else:
             out = {k: p - c for k, c in self.terms.items()}
-        return LaurentPoly._raw(self.base, out)
+        return LaurentPoly._raw(self.ring, out)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check(other)
+        _same_ring(self.ring, other.ring)
         if not self.terms or not other.terms:
-            return LaurentPoly._raw(self.base, {})
-        p = self.base.p
+            return LaurentPoly._raw(self.ring, {})
+        p = self.ring.p
         poly, mono = self.terms, other.terms
         if len(poly) == 1:
             poly, mono = mono, poly
@@ -194,28 +188,20 @@ class LaurentPoly:
                 out = {(e_t + mt, e_x + mx): c * mc for (e_t, e_x), c in poly.items()}
             else:
                 out = {(e_t + mt, e_x + mx): c * mc % p for (e_t, e_x), c in poly.items()}
-            return LaurentPoly._raw(self.base, out)
+            return LaurentPoly._raw(self.ring, out)
         acc: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
                 acc[k] = acc.get(k, 0) + c1 * c2
-        if p is None:
-            out = {k: c for k, c in acc.items() if c}
-        else:
-            out = {}
-            for k, c in acc.items():
-                c %= p
-                if c:
-                    out[k] = c
-        return LaurentPoly._raw(self.base, out)
+        return LaurentPoly._raw(self.ring, _canonical(acc, p))
 
     # -- comparison and display -------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.base == other.base and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     __hash__ = None
 
@@ -245,11 +231,11 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     term costs O(log T); a popped key no longer in the remainder has
     cancelled since it was pushed and is skipped.
     """
-    a._check(b)
+    _same_ring(a.ring, b.ring)
     if not b.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a.terms:
-        return LaurentPoly._raw(a.base, {})
+        return LaurentPoly._raw(a.ring, {})
 
     def shifted(poly: LaurentPoly) -> tuple[dict, int, int]:
         mt = min(e for e, _ in poly.terms)
@@ -260,7 +246,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     rb, bt, bx = shifted(b)
     lead_b = max(rb)
     cb = rb[lead_b]
-    p = a.base.p
+    p = a.ring.p
     inv_cb = pow(cb, -1, p) if p is not None else None
     heap = [(-u, -v) for u, v in ra]
     heapify(heap)
@@ -297,11 +283,19 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
             else:
                 del ra[k]
     dt, dx = at - bt, ax - bx
-    return LaurentPoly._raw(a.base, {(u + dt, v + dx): c for (u, v), c in quot.items()})
+    return LaurentPoly._raw(a.ring, {(u + dt, v + dx): c for (u, v), c in quot.items()})
 
 
 class Ring:
-    """A computation mode: coefficient base plus the optional t = 1 collapse.
+    """A computation mode: integer or GF(p) coefficients, with or without t = 1.
+
+    Each mode has exactly one instance: ``Ring(p, conway)``,
+    :meth:`Ring.get`, ``GENERIC``, ``CONWAY`` and :func:`gf` all return
+    the shared one, so the ring is the identity of every value built in
+    it.  Values of different rings never mix (arithmetic raises
+    ``ValueError``) and :func:`specialize` is the only way from one ring
+    into another.  ``p`` is None for the integers, else a prime; a
+    composite modulus raises ``ValueError``.
 
     Interns the symbols t, x and their inverses, the two-component
     unlink value delta = x^(-1)(t^(-1) - t), the localization
@@ -312,13 +306,11 @@ class Ring:
     crossing costs ``switch_pos`` = t^2 (``switch_neg`` = t^(-2)),
     smoothing it ``smooth_pos`` = t x (``smooth_neg`` = -t^(-1) x), which
     the engine reads as (de_t, de_x, coefficient) shifts once per call.
-    Use :meth:`Ring.get` to share instances.
     """
 
     __slots__ = (
-        "base",
+        "p",
         "conway",
-        "key",
         "name",
         "zero",
         "one",
@@ -340,15 +332,29 @@ class Ring:
 
     _registry: dict[tuple, "Ring"] = {}
 
-    def __init__(self, base: BaseRing, conway: bool = False):
-        self.base = base
+    def __new__(cls, p: int | None = None, conway: bool = False) -> "Ring":
+        ring = cls._registry.get((p, conway))
+        if ring is None:
+            if p is not None and not _is_prime(p):
+                raise ValueError(f"modulus must be prime, got {p}")
+            ring = super().__new__(cls)
+            ring._build(p, conway)
+            # Two threads building one mode at once keep the first registered.
+            ring = cls._registry.setdefault((p, conway), ring)
+        return ring
+
+    def __reduce__(self):
+        # Copies and unpickled rings resolve to the shared instance.
+        return Ring, (self.p, self.conway)
+
+    def _build(self, p: int | None, conway: bool) -> None:
+        self.p = p
         self.conway = conway
-        self.key = (base.p, conway)
-        if base.p is None:
+        if p is None:
             self.name = "conway" if conway else "generic"
         else:
-            self.name = f"gf:{base.p}" + ("+conway" if conway else "")
-        self.zero = LaurentPoly._raw(base, {})
+            self.name = f"gf:{p}" + ("+conway" if conway else "")
+        self.zero = LaurentPoly._raw(self, {})
         self.one = self.monomial(1)
         self.t = self.monomial(1, 1, 0)
         self.t_inv = self.monomial(1, -1, 0)
@@ -367,24 +373,15 @@ class Ring:
 
     @classmethod
     def get(cls, p: int | None = None, conway: bool = False) -> "Ring":
-        key = (p, conway)
-        ring = cls._registry.get(key)
-        if ring is None:
-            ring = cls(BaseRing(p), conway)
-            cls._registry[key] = ring
-        return ring
+        """The shared instance of a mode, the same as ``Ring(p, conway)``."""
+        return cls(p, conway)
 
     def monomial(self, coeff: int, e_t: int = 0, e_x: int = 0) -> LaurentPoly:
         """Build coeff * t^e_t * x^e_x, folding t to 1 in conway mode."""
-        if self.conway:
-            e_t = 0
-        return LaurentPoly(self.base, [((e_t, e_x), coeff)])
+        return LaurentPoly(self, [((e_t, e_x), coeff)])
 
     def poly(self, terms: Mapping | Iterable) -> LaurentPoly:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        if self.conway:
-            items = [((0, e_x), c) for (_, e_x), c in items]
-        return LaurentPoly(self.base, items)
+        return LaurentPoly(self, terms)
 
     def delta_pow(self, k: int) -> LaurentPoly:
         return self._pow(self.delta, k)
@@ -402,21 +399,8 @@ class Ring:
     def scalar(self, num: LaurentPoly, dpow: int = 0) -> "LocalizedScalar":
         return LocalizedScalar(self, num, dpow)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Ring):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
     def __repr__(self) -> str:
         return f"Ring({self.name})"
-
-
-def _canonical(acc: dict, p: int | None) -> dict:
-    """Drop zero coefficients, after reducing mod p over GF(p)."""
-    return {key: r for key, c in acc.items() if (r := c % p if p else c)}
 
 
 def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPoly, int]:
@@ -434,7 +418,7 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
         return ring.zero, 0
     if not dpow:
         return num, 0
-    p = ring.base.p
+    p = ring.p
     denom: dict[int, list] = {}
     for (e_t, e_x), c in ring.denom.terms.items():
         denom.setdefault(e_t, []).append((e_x, c))
@@ -456,7 +440,7 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
     if dpow == start:
         return num, dpow
     terms = {(e_t, e_x): c for e_t, row in rows.items() for e_x, c in row.items()}
-    return LaurentPoly._raw(ring.base, terms), dpow
+    return LaurentPoly._raw(ring, terms), dpow
 
 
 def _peel(
@@ -490,14 +474,15 @@ class LocalizedScalar:
 
     Normal form: either ``dpow`` is 0 or D does not divide ``num``
     exactly, and zero is always (0, 0).  Equal values therefore have
-    identical normal forms, so ``==`` is a value comparison.
+    identical normal forms, so ``==`` is a value comparison.  ``num`` is
+    always a value of ``ring``, so the numerators' own ring checks keep
+    scalars of different rings from mixing.
     """
 
     __slots__ = ("ring", "num", "dpow")
 
     def __init__(self, ring: Ring, num: LaurentPoly, dpow: int = 0):
-        if num.base != ring.base:
-            raise ValueError(f"numerator base {num.base} does not match ring {ring.name}")
+        _same_ring(num.ring, ring)
         if dpow < 0:
             raise ValueError("denominator exponent must be nonnegative")
         num, dpow = _reduce_fraction(ring, num, dpow)
@@ -514,12 +499,6 @@ class LocalizedScalar:
         obj.dpow = dpow
         return obj
 
-    def _check(self, other: "LocalizedScalar") -> None:
-        if self.ring.key != other.ring.key:
-            raise ValueError(
-                f"ring modes differ: {self.ring.name} vs {other.ring.name}"
-            )
-
     @property
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -530,7 +509,6 @@ class LocalizedScalar:
     def __add__(self, other: "LocalizedScalar") -> "LocalizedScalar":
         if not isinstance(other, LocalizedScalar):
             return NotImplemented
-        self._check(other)
         ring = self.ring
         k = max(self.dpow, other.dpow)
         n1 = self.num * ring.denom_pow(k - self.dpow)
@@ -550,7 +528,6 @@ class LocalizedScalar:
             return LocalizedScalar(self.ring, self.num * other, self.dpow)
         if not isinstance(other, LocalizedScalar):
             return NotImplemented
-        self._check(other)
         return LocalizedScalar(self.ring, self.num * other.num, self.dpow + other.dpow)
 
     def __rmul__(self, other) -> "LocalizedScalar":
@@ -561,11 +538,7 @@ class LocalizedScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalizedScalar):
             return NotImplemented
-        return (
-            self.ring.key == other.ring.key
-            and self.dpow == other.dpow
-            and self.num == other.num
-        )
+        return self.dpow == other.dpow and self.num == other.num
 
     __hash__ = None
 
@@ -579,15 +552,17 @@ class LocalizedScalar:
 
 
 def specialize(poly: LaurentPoly, target: Ring) -> LaurentPoly:
-    """Apply the coefficient homomorphism into ``target``.
+    """Apply the coefficient homomorphism from ``poly.ring`` into ``target``.
 
-    Folds t to 1 when the target is a conway mode and reduces integer
-    coefficients mod p when the target is a prime field.  Source
-    coefficients must be integers unless the moduli already agree.
+    The only way to move a value between rings.  Folds t to 1 when the
+    target is a conway mode and reduces integer coefficients mod p when
+    the target is a prime field.  Nothing maps back: GF(p) values keep
+    their modulus and conway values cannot regain t.
     """
-    if poly.base.p is not None and poly.base.p != target.base.p:
-        raise ValueError("prime-field coefficients cannot change modulus or lift back")
-    return target.poly(poly.terms)
+    source = poly.ring
+    if source.p not in (None, target.p) or (source.conway and not target.conway):
+        raise ValueError(f"no coefficient homomorphism from {source.name} to {target.name}")
+    return LaurentPoly(target, poly.terms)
 
 
 def specialize_scalar(scalar: LocalizedScalar, target: Ring) -> LocalizedScalar:

@@ -51,7 +51,7 @@ from typing import Mapping
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import DEFAULT_MAX_CROSSINGS, _check_strands, homfly, weight_sums
-from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str
+from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _same_ring
 
 __all__ = [
     "DEFAULT_MAX_SING",
@@ -83,6 +83,7 @@ class OrderedSkeinElement:
             bits = tuple(bits)
             if len(bits) != d or any(b not in (0, 1) for b in bits):
                 raise ValueError(f"bad pattern {bits} for degree {d}")
+            _same_ring(c.ring, ring)
             if c:
                 clean[bits] = c
         self.ring = ring
@@ -93,8 +94,7 @@ class OrderedSkeinElement:
         return self.coords.get(tuple(bits), self.ring.scalar_zero)
 
     def _check(self, other: "OrderedSkeinElement") -> None:
-        if self.ring.key != other.ring.key:
-            raise ValueError("ring modes differ")
+        _same_ring(self.ring, other.ring)
         if self.d != other.d:
             raise ValueError(f"degrees differ: {self.d} vs {other.d}")
 
@@ -124,7 +124,7 @@ class OrderedSkeinElement:
         if not isinstance(other, OrderedSkeinElement):
             return NotImplemented
         return (
-            self.ring.key == other.ring.key
+            self.ring is other.ring
             and self.d == other.d
             and self.coords == other.coords
         )
@@ -159,17 +159,14 @@ class SkeinPolynomial:
             i, j = key
             if i < 0 or j < 0:
                 raise ValueError(f"bad exponent pair {key}")
+            _same_ring(c.ring, ring)
             if c:
                 clean[(i, j)] = c
         self.ring = ring
         self.coeffs = clean
 
-    def _check(self, other: "SkeinPolynomial") -> None:
-        if self.ring.key != other.ring.key:
-            raise ValueError("ring modes differ")
-
     def __add__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
-        self._check(other)
+        _same_ring(self.ring, other.ring)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             s = out.get(key)
@@ -177,11 +174,11 @@ class SkeinPolynomial:
         return SkeinPolynomial(self.ring, out)
 
     def __sub__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
-        self._check(other)
+        _same_ring(self.ring, other.ring)
         return self + other.scale(-self.ring.one)
 
     def __mul__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
-        self._check(other)
+        _same_ring(self.ring, other.ring)
         out: dict[tuple[int, int], LocalizedScalar] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
@@ -203,7 +200,7 @@ class SkeinPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkeinPolynomial):
             return NotImplemented
-        return self.ring.key == other.ring.key and self.coeffs == other.coeffs
+        return self.ring is other.ring and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -239,7 +236,7 @@ def _poly_term_str(scalar: LocalizedScalar, basis: str) -> tuple[str, str]:
     num = scalar.num
     if scalar.dpow == 0 and len(num.terms) == 1:
         ((e_t, e_x), c) = next(iter(num.terms.items()))
-        negative = num.base.p is None and c < 0
+        negative = num.ring.p is None and c < 0
         mag = -c if negative else c
         parts = []
         if mag != 1 or (e_t == 0 and e_x == 0 and not basis):
@@ -300,12 +297,8 @@ def _numerators(ring: Ring, values: list) -> tuple[list[LaurentPoly], int]:
     """Numerators of polynomials or localized scalars over one D^k, and k."""
     pairs = []
     for value in values:
-        if isinstance(value, LaurentPoly):
-            pairs.append((value, 0))
-        elif value.ring.key != ring.key:
-            raise ValueError(f"ring modes differ: {value.ring.name} vs {ring.name}")
-        else:
-            pairs.append((value.num, value.dpow))
+        _same_ring(value.ring, ring)
+        pairs.append((value, 0) if isinstance(value, LaurentPoly) else (value.num, value.dpow))
     k = max((dpow for _, dpow in pairs), default=0)
     return [num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs], k
 
@@ -358,8 +351,7 @@ def invariant_ordered(
 
 def star(a: OrderedSkeinElement, b: OrderedSkeinElement) -> OrderedSkeinElement:
     """Concatenation product: coordinate at (eps, mu) is a_eps * b_mu."""
-    if a.ring.key != b.ring.key:
-        raise ValueError("ring modes differ")
+    _same_ring(a.ring, b.ring)
     out = {}
     for bits_a, ca in a.coords.items():
         for bits_b, cb in b.coords.items():
@@ -426,7 +418,7 @@ def invariant(
     _check_bounds(link, max_sing, max_crossings)
     d = link.d
     sums = [weight_sum.terms.items() for weight_sum in weight_sums(link.word, ring)]
-    p = ring.base.p
+    p = ring.p
     ((b_t, b_x), b_c), = ring.inv_off.terms.items()
     diag = ring.inv_diag.terms.items()
     coeffs = {}
@@ -449,6 +441,6 @@ def invariant(
                 for (e_t, e_x), c in sums[w]:
                     key = (e_t + s_t, e_x + s_x)
                     acc[key] = get(key, 0) + n * c
-        num = LaurentPoly._raw(ring.base, _canonical(acc, p))
+        num = LaurentPoly._raw(ring, _canonical(acc, p))
         coeffs[(d - j, j)] = ring.scalar(num, d)
     return SkeinPolynomial(ring, coeffs)

@@ -222,7 +222,7 @@ def test_weight_sums_match_oracle_small_primes():
     # conway folds t to 1: each returned term map must still be canonical.
     rng = random.Random(717)
     for ring in (gf(2), gf(3), CONWAY):
-        p = ring.base.p
+        p = ring.p
         for _ in range(150):
             link = random_singular(rng)
             sums = engine.weight_sums(link.word, ring)
@@ -266,6 +266,18 @@ def test_fresh_cache_gives_same_answer():
     assert homfly(TREFOIL, R, cache=cache) == TREFOIL_VALUE
     assert cache  # the engine actually stored subresults
     assert homfly(TREFOIL, R, cache={}) == TREFOIL_VALUE
+
+
+def test_shared_cache_refuses_another_ring():
+    # A trace table holds values of one ring; reading generic traces in a
+    # conway pass would print t-terms in a conway answer.
+    fig8 = parse_word("3: s1 s2^-1 s1 s2^-1")
+    cache: dict = {}
+    homfly(fig8, GENERIC, cache=cache)
+    assert cache
+    with pytest.raises(ValueError):
+        homfly(fig8, CONWAY, cache=cache)
+    assert homfly(fig8, CONWAY) == CONWAY.poly({(0, 0): 1, (0, 2): -1})
 
 
 def test_no_memory_outlives_a_call():

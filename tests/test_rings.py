@@ -1,5 +1,7 @@
 """Coefficient arithmetic: pinned examples plus algebraic property tests."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from skeinforge import (
     CONWAY,
     GENERIC,
-    BaseRing,
     LaurentPoly,
     LocalizedScalar,
     Ring,
@@ -54,27 +55,37 @@ def mode_triples():
 # -- construction -------------------------------------------------------
 
 
-def test_base_ring_requires_prime():
-    BaseRing(2)
-    BaseRing(97)
+def test_ring_requires_prime():
+    assert gf(2).p == 2
+    assert Ring.get(97).p == 97
     with pytest.raises(ValueError):
-        BaseRing(6)
+        gf(6)
     with pytest.raises(ValueError):
-        BaseRing(1)
+        Ring.get(1)
+    # A refused modulus leaves nothing behind to hand out later.
+    with pytest.raises(ValueError):
+        Ring.get(6, conway=True)
 
 
-def test_base_ring_rejects_strong_pseudoprime_to_bases_below_41():
+def test_ring_rejects_strong_pseudoprime_to_bases_below_41():
     # 399165290221 * 798330580441 passes Miller-Rabin to every prime base
     # up to 37; base 41 makes the test deterministic below 3.3e24.
     with pytest.raises(ValueError):
-        BaseRing(318665857834031151167461)
+        gf(318665857834031151167461)
 
 
 def test_canonical_form_drops_zeros():
-    p = LaurentPoly(GENERIC.base, {(0, 0): 3, (1, 0): 0})
+    p = LaurentPoly(GENERIC, {(0, 0): 3, (1, 0): 0})
     assert p.terms == {(0, 0): 3}
+    assert p.ring is GENERIC
     q = GENERIC.poly({(2, 0): 1}) - GENERIC.poly({(2, 0): 1})
     assert q.terms == {} and q.is_zero
+
+
+def test_constructor_folds_t_in_conway():
+    p = LaurentPoly(CONWAY, [((1, 0), 1), ((-1, 0), 1), ((5, 2), 3)])
+    assert p.terms == {(0, 0): 2, (0, 2): 3}
+    assert CONWAY.monomial(2, 7, 1) == CONWAY.poly({(0, 1): 2})
 
 
 def test_gf_coefficients_are_reduced():
@@ -139,6 +150,23 @@ def test_base_mismatch_rejected():
         GENERIC.one + gf(5).one
     with pytest.raises(ValueError):
         exact_div(GENERIC.one, gf(5).one)
+
+
+def test_values_of_different_modes_never_mix():
+    # Generic and conway share the integers as coefficients, but they are
+    # different rings: every mixed operation refuses.
+    with pytest.raises(ValueError):
+        GENERIC.t + CONWAY.one
+    with pytest.raises(ValueError):
+        GENERIC.x * CONWAY.x
+    with pytest.raises(ValueError):
+        exact_div(GENERIC.one, CONWAY.one)
+    with pytest.raises(ValueError):
+        CONWAY.scalar(GENERIC.t * GENERIC.x)
+    with pytest.raises(ValueError):
+        GENERIC.scalar_one * CONWAY.scalar_one
+    assert GENERIC.x != CONWAY.x
+    assert GENERIC.scalar_one != CONWAY.scalar_one
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,7 +256,7 @@ def test_monomial_product_shifts_exponents(data, e_t, e_x, c):
         return
     ((mt, mx), mc), = m.terms.items()
     expected = LaurentPoly(
-        ring.base, [((at + mt, ax + mx), ac * mc) for (at, ax), ac in a.terms.items()]
+        ring, [((at + mt, ax + mx), ac * mc) for (at, ax), ac in a.terms.items()]
     )
     assert a * m == expected
     assert m * a == expected
@@ -328,6 +356,15 @@ def test_specialize_rejects_field_changes():
         specialize(gf(5).one, gf(7))
 
 
+def test_specialize_cannot_restore_t():
+    with pytest.raises(ValueError):
+        specialize(CONWAY.x, GENERIC)
+    with pytest.raises(ValueError):
+        specialize_scalar(CONWAY.scalar_one, GENERIC)
+    assert specialize(GENERIC.t, CONWAY) == CONWAY.one
+    assert specialize(CONWAY.x, CONWAY) == CONWAY.x
+
+
 @settings(max_examples=100, deadline=None)
 @given(poly_strategy(GENERIC), poly_strategy(GENERIC))
 def test_specialize_is_a_homomorphism(a, b):
@@ -353,6 +390,9 @@ def test_ring_registry_shares_instances():
     assert Ring.get() is Ring.get()
     assert Ring.get(5) is gf(5)
     assert Ring.get(conway=True) is CONWAY
+    assert Ring(5) is gf(5) and Ring() is GENERIC
+    assert copy.deepcopy(CONWAY.x).ring is CONWAY
+    assert pickle.loads(pickle.dumps(gf(5).x)) == gf(5).x
 
 
 def test_localized_requires_matching_ring():

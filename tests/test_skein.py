@@ -181,6 +181,20 @@ def test_star_of_coordinates():
     assert star(invariant_ordered(UNKNOT, R), e) == e
 
 
+def test_containers_refuse_values_of_another_ring():
+    with pytest.raises(ValueError):
+        OrderedSkeinElement(R, 1, {(0,): CONWAY.scalar_one})
+    with pytest.raises(ValueError):
+        SkeinPolynomial(R, {(0, 0): gf(5).scalar_one})
+    with pytest.raises(ValueError):
+        solve_coordinates({(0,): CONWAY.delta, (1,): CONWAY.one}, R)
+    with pytest.raises(ValueError):
+        star(unit_element(R, (0,)), unit_element(CONWAY, (1,)))
+    # Empty containers of two rings hold no values, but still differ.
+    assert OrderedSkeinElement(R, 1, {}) != OrderedSkeinElement(CONWAY, 1, {})
+    assert SkeinPolynomial(R, {}) != SkeinPolynomial(CONWAY, {})
+
+
 def test_project_unordered():
     assert project_unordered(unit_element(R, (0,))) == SkeinPolynomial(
         R, {(1, 0): R.scalar_one}
