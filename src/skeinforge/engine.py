@@ -5,32 +5,48 @@ g_i^2 = t x g_i + t^2 of the Hecke algebra H_n, and the value of a
 closure is the Ocneanu trace of the word's image in H_n (Jones,
 Ann. Math. 126, 1987; Morton-Short, J. Algorithms 11, 1990).  One pass
 over the word multiplies on the right in the basis T_w, w in S_n,
-permutations in one-line notation.  With v = w s_i, ``_act`` applies
+permutations in one-line notation.  With v = w s_i, ``_Pass.act`` applies
 
     w(i) < w(i+1):  T_w g_i = T_v,
                     T_w g_i^(-1) = t^(-2) T_v - t^(-1) x T_w;
     otherwise:      T_w g_i = t x T_w + t^2 T_v,
                     T_w g_i^(-1) = T_v,
 
-whose four monomials, the skein steps interned on ``Ring``, act as
-exponent shifts with a coefficient on a state of plain integers
-{(g, w, e_t, e_x): c}, reduced mod p once per letter.  The trace
-satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when w fixes n,
-and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1), with no
-writhe factor.  So a w moving n is peeled as w = u s_(n-1) ... s_k, and
-tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k), that product expanded with
-``_act``.  Trace values are memoized per permutation in a table that
-lives for one call (or in the caller's ``cache``), so it holds at most
-1! + ... + n! entries.
+whose four monomials are the skein steps interned on ``Ring``.  Every
+term of the state is one int mapped to its integer coefficient,
+
+    key = W << _OW | g << _OG | (e_t + _BIAS) << _F | (e_x + _BIAS),
+
+where W holds w(k) in its k-th 11-bit digit, g is the power of Y (see
+below) and the two exponents sit biased in 32-bit fields.  So each
+skein step adds a constant to the key: a monomial t^a x^b adds its
+packed shift (a << _F) + b, and T_w -> T_v adds (w(i+1) - w(i)) times
+(1 << lo) - (1 << hi), lo and hi the offsets of the two digits.  No
+tuple is built per term; coefficients are reduced mod p once per
+letter.  The fields never wrap: MAX_STRANDS keeps w(k) below 2^11, a
+word with more singular letters than the grade field holds is refused,
+and MAX_WORK, a bound on the terms ``act`` produces in one call, also
+bounds the letters and so the exponents.  Each bound raises
+``BoundError``.
+
+The trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when
+w fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
+with no writhe factor.  So a w moving n is peeled as
+w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
+that product expanded with ``act``.  Trace values are lists of
+(packed shift, coefficient) pairs, memoized by W in a table that lives
+for one call (or in the caller's ``cache``, which also keeps its ring
+under the key None), so it holds at most 1! + ... + n! entries.  W
+determines w and its length (its largest digit is n - 1), so
+permutations of different strand counts never share an entry.
 
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
-state keeps the power g of Y beside w, and the Y^g part of the pass,
-traced, is the sum S_g of the values of the resolutions with g ones.
-Before the pass, words are freely reduced, conjugation-cancelled at the
-seam, stripped of untouched strands (a delta factor each), and
-destabilized at the top and bottom strand; singular letters never
-cancel and are never kinks.
+Y^g part of the pass, traced, is the sum S_g of the values of the
+resolutions with g ones.  Before the pass, words are freely reduced,
+conjugation-cancelled at the seam, stripped of untouched strands (a
+delta factor each), and destabilized at the top and bottom strand;
+singular letters never cancel and are never kinks.
 """
 
 from __future__ import annotations
@@ -39,11 +55,38 @@ from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring, _canonical, _same_ring
 
-__all__ = ["DEFAULT_MAX_CROSSINGS", "MAX_STRANDS", "unlink_value", "homfly", "weight_sums", "clear_cache"]
+__all__ = [
+    "DEFAULT_MAX_CROSSINGS",
+    "MAX_STRANDS",
+    "MAX_WORK",
+    "unlink_value",
+    "homfly",
+    "weight_sums",
+    "clear_cache",
+]
 
 DEFAULT_MAX_CROSSINGS = 24
 # "2048: s1" answers in about 2 s: each free strand costs a delta factor.
 MAX_STRANDS = 2048
+# State terms that one call may produce, in the pass and in trace
+# expansions together.  The pinned corpora, the check suites and the
+# tests peak at 19,623 (the d = 10 word); the widest 24-letter words run
+# past this within a fraction of a second.
+MAX_WORK = 250_000
+
+# The packed key: exponents in two biased 32-bit fields, then a 16-bit
+# grade, then one 11-bit digit per strand from bit _OW up.
+_F = 32
+_OG = 2 * _F
+_OW = _OG + 16
+_WIDTH = 11
+_BIAS = 1 << (_F - 1)
+_ZERO = _BIAS << _F | _BIAS  # the exponents of t^0 x^0
+_ONE_G = 1 << _OG
+_EXPS = _ONE_G - 1
+_LOW = (1 << _OW) - 1
+_DIGIT = (1 << _WIDTH) - 1
+_MAX_GRADE = (1 << (_OW - _OG)) - 1
 
 
 def clear_cache() -> None:
@@ -66,9 +109,10 @@ def homfly(
 ) -> LaurentPoly:
     """Polynomial of the closure of a classical word, normalized to 1 on the unknot.
 
-    ``cache`` is a caller-owned trace table (a dict keyed by permutation)
-    shared across calls in one ring; by default each call has its own.  A
-    table that holds values of another ring raises ``ValueError``.
+    ``cache`` is a caller-owned trace table shared across calls in one
+    ring: it maps packed permutations to packed trace values and keeps
+    its ring under the key None.  By default each call has its own.  A
+    table of another ring raises ``ValueError``.
     """
     if not word.is_classical:
         raise PreconditionError(
@@ -78,7 +122,6 @@ def homfly(
         raise BoundError(
             f"{len(word.letters)} crossings exceeds the bound {max_crossings}"
         )
-    _check_strands(word)
     return weight_sums(word, ring, cache=cache)[0]
 
 
@@ -94,85 +137,138 @@ def weight_sums(
     """[S_0, ..., S_d]: S_g sums the values of the resolutions with g negative crossings.
 
     Resolving the d singular letters gives 2^d classical closures; S_g
-    is the sum over those whose pattern has g ones.  No bound is checked.
-    ``cache`` must hold values of ``ring`` only, else ``ValueError``.
+    is the sum over those whose pattern has g ones.  Raises
+    ``BoundError`` above MAX_STRANDS declared strands, above 65535
+    singular letters or above MAX_WORK state terms; ``cache`` (see
+    ``homfly``) must be a table of ``ring``, else ``ValueError``.
     """
+    return [LaurentPoly._raw(ring, _decode(s)) for s in _packed_sums(word, ring, cache)]
+
+
+def _packed_sums(word: SingularBraidWord, ring: Ring, cache: dict | None = None) -> list[dict]:
+    """``weight_sums`` as {packed exponents: c} dicts, for callers that stay packed."""
+    _check_strands(word)
+    d = word.sing_count
+    if d > _MAX_GRADE:
+        raise BoundError(f"{d} singular crossings exceeds the bound {_MAX_GRADE}")
     table = {} if cache is None else cache
-    # Every value a pass stores is of its ring, so one stored value decides.
-    for stored in table.values():
-        _same_ring(stored.ring, ring)
-        break
-    monomials = (ring.smooth_pos, ring.switch_pos, ring.smooth_neg, ring.switch_neg)
-    steps = tuple((*key, c) for m in monomials for key, c in m.terms.items())
+    _same_ring(table.setdefault(None, ring), ring)
+    run = _Pass(ring, table)
     n, letters, delta_pow = _simplify(word.strands, word.letters)
-    state = {(0, tuple(range(n)), 0, 0): 1}
+    identity = sum(k << _WIDTH * k for k in range(n))
+    state = {identity << _OW | _ZERO: 1}
     for kind, i in letters:
-        state = _act(state, kind, i, steps, ring.p)
-    sums = _contract(state, word.sing_count, ring, table, steps)
+        state = run.act(state, kind, i)
+    sums: list[dict] = [{} for _ in range(d + 1)]
+    for key, c in run.contract(state, n).items():
+        sums[key >> _OG][key & _EXPS] = c
     if delta_pow:
-        factor = ring.delta_pow(delta_pow)
-        sums = [s * factor for s in sums]
+        factor = _pack(ring.delta_pow(delta_pow))
+        sums = [_canonical(_times(s.items(), factor), ring.p) for s in sums]
     return sums
 
 
-def _act(state: dict, kind: int, i: int, steps: tuple, p: int | None) -> dict:
-    """The state times g_i (POS), g_i^(-1) (NEG) or 1 + Y g_i^(-1) (SING)."""
-    pos, sing = kind == POS, kind == SING
-    # The smoothing stays at T_w and the switch moves to T_v.
-    (mt, mx, mc), (nt, nx, nc) = steps[:2] if pos else steps[2:]
-    out: dict = {}
-    get = out.get
-    swaps: dict = {}
-    for key, c in state.items():
-        g, w, e_t, e_x = key
-        if sing:
-            out[key] = get(key, 0) + c
-            g += 1
-        a, b = w[i - 1], w[i]
-        v = swaps.get(w)
-        if v is None:
-            v = swaps[w] = w[: i - 1] + (b, a) + w[i + 1 :]
-        if (a < b) == pos:
-            # g_i lengthens w, or g_i^(-1) shortens it: a plain move to T_v.
-            key = (g, v, e_t, e_x)
-            out[key] = get(key, 0) + c
+def _pack(poly: LaurentPoly) -> list[tuple[int, int]]:
+    """The terms of ``poly`` as (packed shift, coefficient) pairs."""
+    return [((e_t << _F) + e_x, c) for (e_t, e_x), c in poly.terms.items()]
+
+
+def _decode(packed: dict) -> dict:
+    """{packed exponents: c} as {(e_t, e_x): c}."""
+    mask = (1 << _F) - 1
+    return {((e >> _F) - _BIAS, (e & mask) - _BIAS): c for e, c in packed.items()}
+
+
+def _times(terms, shifts: list) -> dict:
+    """Packed (exponents, c) terms times (packed shift, coefficient) pairs, unreduced."""
+    acc: dict = {}
+    get = acc.get
+    for e, c in terms:
+        for s, f in shifts:
+            key = e + s
+            acc[key] = get(key, 0) + c * f
+    return acc
+
+
+class _Pass:
+    """One call's skein steps, trace table and count of the terms produced."""
+
+    __slots__ = ("p", "steps", "delta", "table", "work")
+
+    def __init__(self, ring: Ring, table: dict):
+        self.p = ring.p
+        monomials = (ring.smooth_pos, ring.switch_pos, ring.smooth_neg, ring.switch_neg)
+        self.steps = tuple(pair for m in monomials for pair in _pack(m))
+        self.delta = _pack(ring.delta)
+        self.table = table
+        self.work = 0
+
+    def act(self, state: dict, kind: int, i: int) -> dict:
+        """The state times g_i (POS), g_i^(-1) (NEG) or 1 + Y g_i^(-1) (SING)."""
+        pos = kind == POS
+        # The smoothing stays at T_w and the switch moves to T_v.
+        (ms, mc), (ns, nc) = self.steps[:2] if pos else self.steps[2:]
+        lo = _OW + _WIDTH * (i - 1)
+        hi = lo + _WIDTH
+        move = (1 << lo) - (1 << hi)
+        # A singular letter keeps the state and adds Y g_i^(-1) times it.
+        out, lift = (dict(state), _ONE_G) if kind == SING else ({}, 0)
+        get = out.get
+        for key, c in state.items():
+            key += lift
+            rise = (key >> hi & _DIGIT) - (key >> lo & _DIGIT)  # w(i+1) - w(i)
+            if (rise > 0) == pos:
+                # g_i lengthens w, or g_i^(-1) shortens it: a plain move to T_v.
+                key += rise * move
+                out[key] = get(key, 0) + c
+            else:
+                other = key + rise * move + ns
+                key += ms
+                out[key] = get(key, 0) + c * mc
+                out[other] = get(other, 0) + c * nc
+        self.work += len(out)
+        if self.work > MAX_WORK:
+            raise BoundError(f"the Hecke pass exceeds the bound of {MAX_WORK} terms")
+        return _canonical(out, self.p)
+
+    def contract(self, state: dict, n: int) -> dict:
+        """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, on n strands, packed."""
+        table = self.table
+        acc: dict = {}
+        get = acc.get
+        for key, c in state.items():
+            w = key >> _OW
+            value = table.get(w)
+            if value is None:
+                value = self.tau(w, n)
+            base = key & _LOW
+            for s, f in value:
+                k = base + s
+                acc[k] = get(k, 0) + c * f
+        return _canonical(acc, self.p)
+
+    def tau(self, w: int, n: int) -> list:
+        """Ocneanu trace of T_w, w in S_n, normalized so the one-strand closure is 1."""
+        value = self.table.get(w)
+        if value is not None:
+            return value
+        top = _WIDTH * (n - 1)
+        if n <= 1:
+            value = [(0, 1)]
+        elif w >> top == n - 1:
+            rest = self.tau(w - ((n - 1) << top), n - 1)
+            value = list(_canonical(_times(rest, self.delta), self.p).items())
         else:
-            key, other = (g, w, e_t + mt, e_x + mx), (g, v, e_t + nt, e_x + nx)
-            out[key] = get(key, 0) + c * mc
-            out[other] = get(other, 0) + c * nc
-    return _canonical(out, p)
-
-
-def _contract(state: dict, d: int, ring: Ring, table: dict, steps: tuple) -> list[LaurentPoly]:
-    """[sum over the Y^g part of c t^e_t x^e_x tau(T_w) for g in 0..d]."""
-    accs: list[dict] = [{} for _ in range(d + 1)]
-    for (g, w, e_t, e_x), c in state.items():
-        acc = accs[g]
-        for (ft, fx), f in _tau(w, ring, table, steps).terms.items():
-            key = (e_t + ft, e_x + fx)
-            acc[key] = acc.get(key, 0) + c * f
-    return [LaurentPoly._raw(ring, _canonical(acc, ring.p)) for acc in accs]
-
-
-def _tau(w: tuple, ring: Ring, table: dict, steps: tuple) -> LaurentPoly:
-    """Ocneanu trace of T_w, normalized so the one-strand closure is 1."""
-    value = table.get(w)
-    if value is not None:
+            # w = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
+            k = next(k for k in range(n) if w >> _WIDTH * k & _DIGIT == n - 1)
+            low = _WIDTH * k
+            u = (w & ((1 << low) - 1)) | (w >> (low + _WIDTH)) << low
+            state = {u << _OW | _ZERO: 1}
+            for i in range(n - 2, k, -1):
+                state = self.act(state, POS, i)
+            value = [(e - _ZERO, c) for e, c in self.contract(state, n - 1).items()]
+        self.table[w] = value
         return value
-    n = len(w)
-    if n <= 1:
-        value = ring.one
-    elif w[-1] == n - 1:
-        value = ring.delta * _tau(w[:-1], ring, table, steps)
-    else:
-        # w = u s_(n-1) ... s_(k+1), with n at (0-based) position k.
-        k = w.index(n - 1)
-        state = {(0, w[:k] + w[k + 1 :], 0, 0): 1}
-        for i in range(n - 2, k, -1):
-            state = _act(state, POS, i, steps, ring.p)
-        value = _contract(state, 0, ring, table, steps)[0]
-    table[w] = value
-    return value
 
 
 # -- word simplification ----------------------------------------------

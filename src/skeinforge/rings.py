@@ -413,6 +413,13 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
     times that row is subtracted from the rows below.  Once every row
     with D's t-span beneath it is peeled, D divides exactly when no row
     is left.  Nothing searches for a leading term.
+
+    After the first division, ``_off_denom`` evaluates the quotient at two
+    zeros of D before each further one; a nonzero value proves that D
+    does not divide, and only a zero there (or GF(2), GF(3) or conway)
+    runs the division.  The first division goes untested: the invariant's
+    numerators, with or without ``--ordered``, all divide at least once,
+    so a test there would only add cost.
     """
     if not num.terms:
         return ring.zero, 0
@@ -431,8 +438,13 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
     rows: dict[int, dict] = {}
     for (e_t, e_x), c in num.terms.items():
         rows.setdefault(e_t, {})[e_x] = c
+    # The certificate needs 2 and 3 to be units, so not GF(2) or GF(3);
+    # in conway D is a unit and always divides.
+    certify = not ring.conway and (p is None or p >= 5)
     start = dpow
     while dpow:
+        if certify and dpow < start and _off_denom(rows, p):
+            break
         quot = _peel(rows, top, top_x, inv, lower, span, p)
         if quot is None:
             break
@@ -441,6 +453,35 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
         return num, dpow
     terms = {(e_t, e_x): c for e_t, row in rows.items() for e_x, c in row.items()}
     return LaurentPoly._raw(ring, terms), dpow
+
+
+def _off_denom(rows: dict, p: int | None) -> bool:
+    """True when the t-rows prove that D does not divide them.
+
+    At t = 2, t^(-1) - t = -3/2, so D = (t^(-1) - t - x)(t^(-1) - t + x)
+    vanishes at x = 3/2 and x = -3/2.  The numerator's values there,
+    times a power of 2 and of 3 that clears their denominators, are
+    integers; if either is nonzero (mod p over GF(p), where 2 and 3 are
+    units for p >= 5), D cannot divide.  Zero at both proves nothing.
+    """
+    low_t = min(rows)
+    low = min(min(row) for row in rows.values())
+    span = max(max(row) for row in rows.values()) - low
+    # weight[e - low] is (3/2)^e times 2^(low + span) / 3^low.
+    weight = [3**k << (span - k) for k in range(span + 1)]
+    plus = minus = 0
+    for e_t, row in rows.items():
+        even = odd = 0
+        for e_x, c in row.items():
+            if e_x & 1:
+                odd += c * weight[e_x - low]
+            else:
+                even += c * weight[e_x - low]
+        plus += (even + odd) << (e_t - low_t)
+        minus += (even - odd) << (e_t - low_t)
+    if p:
+        plus, minus = plus % p, minus % p
+    return plus != 0 or minus != 0
 
 
 def _peel(

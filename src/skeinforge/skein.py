@@ -31,13 +31,15 @@ so the z^j coefficient is their sum over the coordinates of weight j.
 Only the grouping of exact sums changes, so the result is the
 projection of the solved coordinates, term for term.  ``invariant``
 computes the polynomial this way, with or without ``--ordered``, and
-takes the weight sums from the engine's graded pass
-(``engine.weight_sums``), which never forms the 2^d resolutions.
+takes the weight sums from the engine's graded pass (the packed form
+of ``engine.weight_sums``), which never forms the 2^d resolutions.
 Expanding both binomials, [z^j] of row w is an integer combination of
 the d + 1 products A^a B^(d-a), so the kernel is integer binomials
-(``_weight_kernel``) and the sum runs on flat integer terms: for each j,
-sum_a A^a B^(d-a) T_a by Horner in A, with T_a an integer combination
-of the S_w and B a monomial.
+(``_weight_kernel``) and the sum runs on flat integer terms keyed by
+the engine's packed exponents: for each j, sum_a A^a B^(d-a) T_a by
+Horner in A, with T_a an integer combination of the S_w and B a
+monomial, so every product by a monomial adds a constant to the key.
+Exponents are decoded once per output coefficient.
 ``eval_vector`` lists the resolution values for ``--ordered``;
 ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
@@ -50,7 +52,7 @@ from typing import Mapping
 
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
-from .engine import DEFAULT_MAX_CROSSINGS, _check_strands, homfly, weight_sums
+from .engine import DEFAULT_MAX_CROSSINGS, _check_strands, _decode, _pack, _packed_sums, homfly
 from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _same_ring
 
 __all__ = [
@@ -402,7 +404,7 @@ def invariant(
 
     where A = x(t^(-1) - t) and B = -x^2 are the entries of D M^(-1).
     The kernel is integer binomials; per j the sum runs by Horner in A
-    on flat integer terms, so it costs O(d^2) products by the two-term A
+    on flat integer terms keyed by packed exponents, so it costs O(d^2) products by the two-term A
     and O(d^3) integer-scaled additions of weight sums, then d + 1
     row-wise normal forms by D.  It is exact: the z^j coefficient of that
     product is the sum, over the coordinates of weight j, of the A/B
@@ -417,30 +419,31 @@ def invariant(
     """
     _check_bounds(link, max_sing, max_crossings)
     d = link.d
-    sums = [weight_sum.terms.items() for weight_sum in weight_sums(link.word, ring)]
+    sums = [weight_sum.items() for weight_sum in _packed_sums(link.word, ring)]
     p = ring.p
-    ((b_t, b_x), b_c), = ring.inv_off.terms.items()
-    diag = ring.inv_diag.terms.items()
+    ((b_shift, b_c),) = _pack(ring.inv_off)
+    diag = _pack(ring.inv_diag)
     coeffs = {}
     for j, by_power in enumerate(_weight_kernel(d)):
-        # sum_a A^a B^(d-a) T_a, T_a = sum_w n S_w, by Horner in A; B is a monomial.
+        # sum_a A^a B^(d-a) T_a, T_a = sum_w n S_w, by Horner in A; B is a
+        # monomial.  Keys are packed exponents, so every product is a shift.
         acc: dict = {}
         for a in range(d, -1, -1):
             if acc:
                 prev, acc = acc, {}
                 get = acc.get
-                for (e_t, e_x), c in prev.items():
-                    for (f_t, f_x), f in diag:
-                        key = (e_t + f_t, e_x + f_x)
+                for e, c in prev.items():
+                    for f_s, f in diag:
+                        key = e + f_s
                         acc[key] = get(key, 0) + c * f
             k = d - a
-            s_t, s_x, scale = k * b_t, k * b_x, b_c**k
+            shift, scale = k * b_shift, b_c**k
             get = acc.get
             for w, n in by_power[a]:
                 n *= scale
-                for (e_t, e_x), c in sums[w]:
-                    key = (e_t + s_t, e_x + s_x)
+                for e, c in sums[w]:
+                    key = e + shift
                     acc[key] = get(key, 0) + n * c
-        num = LaurentPoly._raw(ring, _canonical(acc, p))
+        num = LaurentPoly._raw(ring, _decode(_canonical(acc, p)))
         coeffs[(d - j, j)] = ring.scalar(num, d)
     return SkeinPolynomial(ring, coeffs)

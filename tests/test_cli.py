@@ -153,6 +153,22 @@ def test_strand_count_above_the_bound_is_exit_3(capsys, command, count):
     assert err == f"bound exceeded: {count} strands exceeds the bound 2048\n"
 
 
+GREEDY_WORDS = [
+    "10: " + " ".join(f"s{i}^-1" for top in (10, 9, 8) for i in range(1, top)),
+    "13: " + " ".join(f"s{i}^-1" for top in (13, 12) for i in range(1, top)),
+]
+
+
+@pytest.mark.parametrize("command", ["invariant", "homfly"])
+@pytest.mark.parametrize("word", GREEDY_WORDS)
+def test_work_above_the_bound_is_exit_3(capsys, command, word):
+    # Within the default letter bound, but the Hecke state of these runs
+    # of inverse letters grows past the work bound.
+    code, out, err = run(capsys, command, word)
+    assert (code, out) == (3, "")
+    assert err == f"bound exceeded: the Hecke pass exceeds the bound of {skeinforge.engine.MAX_WORK} terms\n"
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "homfly", "2: t1")
     assert code == 4 and "precondition" in err
@@ -175,10 +191,20 @@ _FLAGS = [
     ["--max-sing"], ["--seed", "3"], ["--jobs", "2"], ["--ord"], ["--json=1"], ["-x"], ["--"], ["-h"],
 ]
 _LETTERS = st.builds("{}{}{}".format, st.sampled_from("st"), st.integers(0, 7), st.sampled_from(["", "^-1"]))
-_WORDS = st.builds(
-    lambda head, tokens: " ".join([head, *tokens]),
-    st.sampled_from(_HEADS),
-    st.lists(st.one_of(_LETTERS, _LETTERS, st.sampled_from(_JUNK)), max_size=6),
+# Runs s1^-1 ... s(k-1)^-1 on 7-13 strands, the letters that grow the
+# Hecke state fastest.
+_INVERSE_RUNS = st.integers(7, 13).flatmap(
+    lambda n: st.lists(st.integers(2, n), min_size=1, max_size=3).map(
+        lambda tops: f"{n}: " + " ".join(f"s{i}^-1" for top in tops for i in range(1, top))
+    )
+)
+_WORDS = st.one_of(
+    st.builds(
+        lambda head, tokens: " ".join([head, *tokens]),
+        st.sampled_from(_HEADS),
+        st.lists(st.one_of(_LETTERS, _LETTERS, st.sampled_from(_JUNK)), max_size=6),
+    ),
+    _INVERSE_RUNS,
 )
 
 
@@ -201,6 +227,8 @@ _ARGV = st.builds(
 @given(_ARGV)
 @example(["invariant", "99999999999999999999: s1"])
 @example(["homfly", "--json", "2049: s1 s2"])
+@example(["homfly", GREEDY_WORDS[0]])
+@example(["invariant", "--ring", "conway", GREEDY_WORDS[1]])
 def test_any_argv_ends_cleanly(argv):
     # Every argv answers or exits 2, 3 or 4 with nothing on stdout.
     out, err = io.StringIO(), io.StringIO()

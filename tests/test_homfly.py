@@ -22,9 +22,11 @@ from skeinforge import (
     all_patterns,
     clear_cache,
     connected_sum,
+    eval_vector,
     gf,
     homfly,
     homfly_reference,
+    parse_link,
     parse_word,
     resolve_all,
     split_union,
@@ -230,6 +232,71 @@ def test_weight_sums_match_oracle_small_primes():
             for (e_t, _), c in (item for s in sums for item in s.terms.items()):
                 assert (1 <= c < p) if p else c != 0, link
                 assert e_t == 0 or not ring.conway, link
+
+
+def wide_singular(rng):
+    # Every index at least once and both edge indices twice, so most
+    # words keep 7 or more strands through simplification.
+    n = rng.randint(7, 12)
+    indices = list(range(1, n)) + [1, n - 1] + [rng.randint(1, n - 1) for _ in range(rng.randint(0, 2))]
+    letters = [(rng.choice((POS, NEG)), i) for i in indices]
+    for _ in range(rng.randint(0, 2)):
+        letters[rng.randrange(len(letters))] = (SING, rng.randint(1, n - 1))
+    rng.shuffle(letters)
+    return OrderedSingularLink(SingularBraidWord(n, tuple(letters)))
+
+
+def test_weight_sums_match_oracle_on_7_to_12_strands():
+    # Permutations packed into up to twelve 11-bit digits, moved and
+    # peeled at every position.
+    rng = random.Random(909)
+    wide = 0
+    for ring in (R, CONWAY, gf(2), gf(3)):
+        for _ in range(10):
+            link = wide_singular(rng)
+            wide += engine._simplify(link.word.strands, link.word.letters)[0] >= 7
+            assert engine.weight_sums(link.word, ring) == reference_weight_sums(link, ring), link
+    assert wide >= 20
+
+
+def test_weight_sums_refuse_what_the_packed_key_cannot_hold():
+    # s1 s1 s2 s2 ... keeps all 2100 strands through simplification, more
+    # than the 11-bit digits of a packed permutation hold; 65536 singular
+    # letters overflow the 16-bit grade.  Both refuse before any pass.
+    doubled = " ".join(f"s{i} s{i}" for i in range(1, 2100))
+    with pytest.raises(BoundError, match="2100 strands exceeds the bound 2048"):
+        engine.weight_sums(parse_word(f"2100: {doubled}"), R)
+    deep = SingularBraidWord(2, ((SING, 1),) * 65536)
+    with pytest.raises(BoundError, match="65536 singular crossings exceeds the bound 65535"):
+        engine.weight_sums(deep, R)
+
+
+def inverse_runs(n, *tops):
+    return parse_word(f"{n}: " + " ".join(f"s{i}^-1" for top in tops for i in range(1, top)))
+
+
+def test_work_bound_refuses_the_widest_default_words():
+    # Greedy 24- and 23-letter words whose Hecke state grows fastest: they
+    # answered after 3 s and 12 s before the pass had a work bound.
+    for word in (inverse_runs(10, 10, 9, 8), inverse_runs(13, 13, 12)):
+        with pytest.raises(BoundError, match=f"bound of {engine.MAX_WORK} terms"):
+            homfly(word, R)
+        with pytest.raises(BoundError):
+            engine.weight_sums(word, R)
+
+
+def test_shared_table_across_strand_counts():
+    # The resolutions simplify to 2, 3, 4 and 5 strands, so one table
+    # holds packed permutations of four lengths; no two may collide.
+    link = parse_link("5: s1 t2 s3 t4 s1 s2 s3 s4 t1")
+    words = {bits: resolve_all(link, bits) for bits in all_patterns(link.d)}
+    assert {engine._simplify(w.strands, w.letters)[0] for w in words.values()} == {2, 3, 4, 5}
+    for ring in (R, CONWAY, gf(5)):
+        fresh = {bits: homfly(word, ring) for bits, word in words.items()}
+        assert eval_vector(link, ring) == fresh
+        cache: dict = {}
+        for bits, word in reversed(words.items()):
+            assert homfly(word, ring, cache=cache) == fresh[bits], bits
 
 
 def test_trace_table_is_bounded_by_the_permutations():

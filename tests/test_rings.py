@@ -19,6 +19,7 @@ from skeinforge import (
     specialize,
     specialize_scalar,
 )
+from skeinforge import rings
 from skeinforge.rings import _reduce_fraction
 
 MODES = (GENERIC, CONWAY, gf(5))
@@ -242,6 +243,39 @@ def test_row_wise_normal_form_of_zero_and_powers_of_d(ring):
         assert _reduce_fraction(ring, ring.denom_pow(k), k + 2) == _reduce_by_exact_div(
             ring, ring.denom_pow(k), k + 2
         )
+
+
+def test_normal_form_peels_where_the_certificate_vanishes():
+    # t - 2 vanishes at both zeros of D with t = 2 and is not divisible by
+    # D: after the first division the evaluation proves nothing, so the
+    # peel decides.
+    for ring in (GENERIC, gf(5), gf(7)):
+        num = ring.t - ring.monomial(2)
+        assert _reduce_fraction(ring, num * ring.denom, 2) == (num, 1)
+        assert ring.scalar(num, 1).dpow == 1
+
+
+def test_certificate_replaces_the_failing_division(monkeypatch):
+    # (t + 1) D over D^3: one division, then t + 1 is nonzero at the zeros
+    # of D, which settles it in GENERIC and GF(5); GF(3) has no such
+    # points and tries the second division.
+    calls = []
+    peel = rings._peel
+    monkeypatch.setattr(rings, "_peel", lambda *args: calls.append(1) or peel(*args))
+    for ring, peels in ((GENERIC, 1), (gf(5), 1), (gf(3), 2)):
+        calls.clear()
+        num = ring.t + ring.one
+        assert _reduce_fraction(ring, num * ring.denom, 3) == (num, 2)
+        assert len(calls) == peels, ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_form_cases())
+def test_normal_form_with_a_factor_vanishing_on_d(data):
+    ring, n, k, extra, (e_t, e_x), _ = data
+    num = n * ring.denom_pow(k) * (ring.t - ring.monomial(2)) * ring.monomial(1, e_t, e_x)
+    for dpow in (k, k + extra + 1):
+        assert _reduce_fraction(ring, num, dpow) == _reduce_by_exact_div(ring, num, dpow)
 
 
 # -- ring axioms ---------------------------------------------------------
