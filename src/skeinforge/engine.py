@@ -25,9 +25,11 @@ packed shift (a << _F) + b, and T_w -> T_v adds (w(i+1) - w(i)) times
 tuple is built per term; coefficients are reduced mod p once per
 letter.  The fields never wrap: MAX_STRANDS keeps w(k) below 2^11, a
 word with more singular letters than the grade field holds is refused,
-and MAX_WORK, a bound on the terms ``act`` produces in one call, also
-bounds the letters and so the exponents.  Each bound raises
-``BoundError``.
+and MAX_WORK, a bound on the terms ``act`` produces in one pass (one
+``weight_sums`` call, its trace expansions included), also bounds the
+letters and so the exponents.  Each bound raises ``BoundError``.  Each
+pass has its own count: ``invariant --ordered`` runs one graded pass
+and 2^d resolution passes, so MAX_WORK does not bound it as a whole.
 
 The trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when
 w fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
@@ -68,10 +70,10 @@ __all__ = [
 DEFAULT_MAX_CROSSINGS = 24
 # "2048: s1" answers in about 2 s: each free strand costs a delta factor.
 MAX_STRANDS = 2048
-# State terms that one call may produce, in the pass and in trace
-# expansions together.  The pinned corpora, the check suites and the
-# tests peak at 19,623 (the d = 10 word); the widest 24-letter words run
-# past this within a fraction of a second.
+# State terms that one pass (one weight_sums call) may produce, in the
+# pass and in trace expansions together.  The pinned corpora, the check
+# suites and the tests peak at 19,623 (the d = 10 word); the widest
+# 24-letter words run past this within a fraction of a second.
 MAX_WORK = 250_000
 
 # The packed key: exponents in two biased 32-bit fields, then a 16-bit
@@ -159,8 +161,9 @@ def _packed_sums(word: SingularBraidWord, ring: Ring, cache: dict | None = None)
     state = {identity << _OW | _ZERO: 1}
     for kind, i in letters:
         state = run.act(state, kind, i)
+    run.tabulate(state, n)
     sums: list[dict] = [{} for _ in range(d + 1)]
-    for key, c in run.contract(state, n).items():
+    for key, c in run.contract(state).items():
         sums[key >> _OG][key & _EXPS] = c
     if delta_pow:
         factor = _pack(ring.delta_pow(delta_pow))
@@ -231,44 +234,62 @@ class _Pass:
             raise BoundError(f"the Hecke pass exceeds the bound of {MAX_WORK} terms")
         return _canonical(out, self.p)
 
-    def contract(self, state: dict, n: int) -> dict:
-        """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, on n strands, packed."""
+    def contract(self, state: dict) -> dict:
+        """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, packed; each w is tabulated."""
         table = self.table
         acc: dict = {}
         get = acc.get
         for key, c in state.items():
-            w = key >> _OW
-            value = table.get(w)
-            if value is None:
-                value = self.tau(w, n)
             base = key & _LOW
-            for s, f in value:
+            for s, f in table[key >> _OW]:
                 k = base + s
                 acc[k] = get(k, 0) + c * f
         return _canonical(acc, self.p)
 
-    def tau(self, w: int, n: int) -> list:
-        """Ocneanu trace of T_w, w in S_n, normalized so the one-strand closure is 1."""
-        value = self.table.get(w)
-        if value is not None:
-            return value
-        top = _WIDTH * (n - 1)
-        if n <= 1:
-            value = [(0, 1)]
-        elif w >> top == n - 1:
-            rest = self.tau(w - ((n - 1) << top), n - 1)
-            value = list(_canonical(_times(rest, self.delta), self.p).items())
-        else:
-            # w = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
-            k = next(k for k in range(n) if w >> _WIDTH * k & _DIGIT == n - 1)
-            low = _WIDTH * k
-            u = (w & ((1 << low) - 1)) | (w >> (low + _WIDTH)) << low
-            state = {u << _OW | _ZERO: 1}
-            for i in range(n - 2, k, -1):
-                state = self.act(state, POS, i)
-            value = [(e - _ZERO, c) for e, c in self.contract(state, n - 1).items()]
-        self.table[w] = value
-        return value
+    def tabulate(self, state: dict, n: int) -> None:
+        """Put the Ocneanu trace of each T_w of the state, w in S_n, in the table.
+
+        The trace is normalized so the one-strand closure is 1.  Missing
+        permutations are expanded one strand level at a time and their
+        values filled in from one strand up, so no call nests per strand.
+        """
+        table = self.table
+        levels = []
+        todo = {key >> _OW for key in state}
+        while n > 1 and todo:
+            level, below = [], set()
+            for v in todo:
+                if v in table:
+                    continue
+                # v = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
+                k = n - 1
+                while v >> _WIDTH * k & _DIGIT != n - 1:
+                    k -= 1
+                low = _WIDTH * k
+                u = (v & ((1 << low) - 1)) | (v >> (low + _WIDTH)) << low
+                if k == n - 1:
+                    # v fixes n: delta times the trace of u on n - 1 strands.
+                    level.append((v, u, None))
+                    below.add(u)
+                    continue
+                expanded = {u << _OW | _ZERO: 1}
+                for i in range(n - 2, k, -1):
+                    expanded = self.act(expanded, POS, i)
+                level.append((v, u, expanded))
+                for key in expanded:
+                    below.add(key >> _OW)
+            n -= 1
+            levels.append(level)
+            todo = below
+        for v in todo:  # the identity of S_1
+            table[v] = [(0, 1)]
+        for level in reversed(levels):
+            for v, u, expanded in level:
+                if expanded is None:
+                    value = _canonical(_times(table[u], self.delta), self.p).items()
+                else:
+                    value = [(e - _ZERO, c) for e, c in self.contract(expanded).items()]
+                table[v] = list(value)
 
 
 # -- word simplification ----------------------------------------------

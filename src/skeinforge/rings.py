@@ -76,6 +76,16 @@ def _canonical(acc: dict, p: int | None) -> dict:
     return {key: r for key, c in acc.items() if (r := c % p if p else c)}
 
 
+def _mul_terms(acc: dict, a: Mapping, b: Mapping) -> dict:
+    """Add the product of the (e_t, e_x)-keyed terms a and b into acc, unreduced."""
+    get = acc.get
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            k = (a1 + a2, b1 + b2)
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
 def _same_ring(a: "Ring", b: "Ring") -> None:
     """Refuse to mix values of two rings; rings are shared, so this is identity."""
     if a is not b:
@@ -104,10 +114,10 @@ class LaurentPoly:
     only :func:`specialize` moves one into another ring.  ``terms`` maps
     exponent pairs ``(e_t, e_x)`` to nonzero coefficients (reduced
     residues over GF(p), with e_t = 0 in conway mode); the map is
-    canonical, so equal values always carry identical term maps.  The
-    constructor is the one canonicalizing path: it sums repeated keys,
-    folds t to 1 in conway mode and drops zeros.  Instances are never
-    mutated.
+    canonical, so equal values always carry identical term maps: the
+    constructor (which sums repeated keys and folds t to 1 in conway
+    mode) and every operation end in one ``_canonical``, which reduces
+    mod p and drops zeros.  Instances are never mutated.
     """
 
     __slots__ = ("ring", "terms")
@@ -145,17 +155,10 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _same_ring(self.ring, other.ring)
-        p = self.ring.p
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if p is not None:
-                s %= p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentPoly._raw(self.ring, out)
+            out[k] = out.get(k, 0) + c
+        return LaurentPoly._raw(self.ring, _canonical(out, self.ring.p))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -163,38 +166,15 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        p = self.ring.p
-        if p is None:
-            out = {k: -c for k, c in self.terms.items()}
-        else:
-            out = {k: p - c for k, c in self.terms.items()}
-        return LaurentPoly._raw(self.ring, out)
+        out = {k: -c for k, c in self.terms.items()}
+        return LaurentPoly._raw(self.ring, _canonical(out, self.ring.p))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _same_ring(self.ring, other.ring)
-        if not self.terms or not other.terms:
-            return LaurentPoly._raw(self.ring, {})
-        p = self.ring.p
-        poly, mono = self.terms, other.terms
-        if len(poly) == 1:
-            poly, mono = mono, poly
-        if len(mono) == 1:
-            # A monomial factor shifts the exponents and scales the
-            # coefficients; in a field no product of units is zero.
-            ((mt, mx), mc), = mono.items()
-            if p is None:
-                out = {(e_t + mt, e_x + mx): c * mc for (e_t, e_x), c in poly.items()}
-            else:
-                out = {(e_t + mt, e_x + mx): c * mc % p for (e_t, e_x), c in poly.items()}
-            return LaurentPoly._raw(self.ring, out)
-        acc: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                acc[k] = acc.get(k, 0) + c1 * c2
-        return LaurentPoly._raw(self.ring, _canonical(acc, p))
+        acc = _mul_terms({}, self.terms, other.terms)
+        return LaurentPoly._raw(self.ring, _canonical(acc, self.ring.p))
 
     # -- comparison and display -------------------------------------
 
@@ -571,10 +551,8 @@ class LocalizedScalar:
             return NotImplemented
         return LocalizedScalar(self.ring, self.num * other.num, self.dpow + other.dpow)
 
-    def __rmul__(self, other) -> "LocalizedScalar":
-        if isinstance(other, LaurentPoly):
-            return LocalizedScalar(self.ring, self.num * other, self.dpow)
-        return NotImplemented
+    # The product is commutative.
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalizedScalar):

@@ -52,8 +52,10 @@ from typing import Mapping
 
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
-from .engine import DEFAULT_MAX_CROSSINGS, _check_strands, _decode, _pack, _packed_sums, homfly
-from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _same_ring
+from .engine import (
+    DEFAULT_MAX_CROSSINGS, _check_strands, _decode, _pack, _packed_sums, _times, homfly
+)
+from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _mul_terms, _same_ring
 
 __all__ = [
     "DEFAULT_MAX_SING",
@@ -283,16 +285,20 @@ def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) 
     _check_strands(link.word)
 
 
-def _axis_pass(vec: list, d: int, diag, off) -> None:
-    # One tensor axis of ((diag, off), (off, diag)) applied in place.
+def _axis_pass(ring: Ring, nums: list, d: int, diag, off) -> list[LaurentPoly]:
+    # nums times the d-th tensor power of ((diag, off), (off, diag)), one axis
+    # at a time; each entry, diag v0 + off v1, sums in one dict, reduced once.
+    p, diag, off = ring.p, diag.terms, off.terms
+    vec = [num.terms for num in nums]
     for axis in range(d):
         stride = 1 << (d - 1 - axis)
         for base in range(1 << d):
             if base & stride:
                 continue
             v0, v1 = vec[base], vec[base | stride]
-            vec[base] = diag * v0 + off * v1
-            vec[base | stride] = off * v0 + diag * v1
+            vec[base] = _canonical(_mul_terms(_mul_terms({}, diag, v0), off, v1), p)
+            vec[base | stride] = _canonical(_mul_terms(_mul_terms({}, off, v0), diag, v1), p)
+    return [LaurentPoly._raw(ring, terms) for terms in vec]
 
 
 def _numerators(ring: Ring, values: list) -> tuple[list[LaurentPoly], int]:
@@ -323,7 +329,7 @@ def solve_coordinates(
     ):
         raise ValueError(f"need all {1 << d} patterns of length {d}")
     nums, k = _numerators(ring, [values[bits] for bits in all_patterns(d)])
-    _axis_pass(nums, d, ring.inv_diag, ring.inv_off)
+    nums = _axis_pass(ring, nums, d, ring.inv_diag, ring.inv_off)
     coords = {bits: ring.scalar(num, d + k) for bits, num in zip(all_patterns(d), nums)}
     return OrderedSkeinElement(ring, d, coords)
 
@@ -332,7 +338,7 @@ def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedS
     """Forward map: resolution values of an element given by coordinates."""
     ring, d = element.ring, element.d
     nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
-    _axis_pass(nums, d, ring.delta, ring.one)
+    nums = _axis_pass(ring, nums, d, ring.delta, ring.one)
     return {bits: ring.scalar(num, k) for bits, num in zip(all_patterns(d), nums)}
 
 
@@ -429,13 +435,7 @@ def invariant(
         # monomial.  Keys are packed exponents, so every product is a shift.
         acc: dict = {}
         for a in range(d, -1, -1):
-            if acc:
-                prev, acc = acc, {}
-                get = acc.get
-                for e, c in prev.items():
-                    for f_s, f in diag:
-                        key = e + f_s
-                        acc[key] = get(key, 0) + c * f
+            acc = _times(acc.items(), diag)
             k = d - a
             shift, scale = k * b_shift, b_c**k
             get = acc.get

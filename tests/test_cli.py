@@ -169,6 +169,18 @@ def test_work_above_the_bound_is_exit_3(capsys, command, word):
     assert err == f"bound exceeded: the Hecke pass exceeds the bound of {skeinforge.engine.MAX_WORK} terms\n"
 
 
+def test_trace_depth_does_not_grow_with_the_strands(capsys):
+    # Two full sweeps survive _simplify on all 500 strands, and the trace
+    # peels one strand at a time.  The digest is of the same answer from
+    # the strand-by-strand recursion, run under a raised recursion limit.
+    word = "500: " + " ".join(f"s{i}" for _ in range(2) for i in range(1, 500))
+    code, out, err = run(capsys, "homfly", "--max-crossings", "5000", word)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d6dc73dc91fe3e32faefc4f96ca43ff17d11a3abd45513736a028f16f8fb0a89"
+    )
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "homfly", "2: t1")
     assert code == 4 and "precondition" in err
@@ -314,6 +326,10 @@ PINNED_INVARIANT_DIGESTS = [
     (ROADMAP_WORD, "generic", (), "a68dfc517656314aa89d892950e6afcb771f7f086035aae033102b5136198138"),
     (ROADMAP_WORD, "conway", (), "f1255c3220fb402d9e8f864c735a8f32a4bc5558240402af0082daea7afb7f8e"),
     (ROADMAP_WORD, "gf:5", (), "11c64949303e03abeab28b64a7d64cabe807f2e216f30f6cd5beb89239aa3d5e"),
+    # Its --ordered forms, made by the axis pass on LaurentPoly values.
+    (ROADMAP_WORD, "generic", ("--ordered",), "93af4ba1d5b6d51b3958df4388d3c5e24f577dc0b80416f7f038e71709a1fe97"),
+    (ROADMAP_WORD, "conway", ("--ordered",), "c94859a2d41ce8fb46903dd207227735d4da6873d88e594c25a98632802af9b2"),
+    (ROADMAP_WORD, "gf:5", ("--ordered",), "64dd571c2d0ae73c00087c5aa1a38f60d409442cf79c9a5bc57857fa24b5c084"),
 ]
 
 

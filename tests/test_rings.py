@@ -22,7 +22,8 @@ from skeinforge import (
 from skeinforge import rings
 from skeinforge.rings import _reduce_fraction
 
-MODES = (GENERIC, CONWAY, gf(5))
+# GF(2) and GF(3) are where reducing -c and sums mod p is easiest to get wrong.
+MODES = (GENERIC, CONWAY, gf(2), gf(3), gf(5))
 
 
 def poly_strategy(ring, max_terms=4):
@@ -208,12 +209,9 @@ def _reduce_by_exact_div(ring, num, dpow):
     return num, dpow
 
 
-NORMAL_FORM_MODES = (GENERIC, CONWAY, gf(2), gf(3), gf(5))
-
-
 def normal_form_cases():
     # n D^k times a monomial divides k times; n D^k + 1 usually does not.
-    return st.sampled_from(NORMAL_FORM_MODES).flatmap(
+    return st.sampled_from(MODES).flatmap(
         lambda ring: st.tuples(
             st.just(ring),
             poly_strategy(ring, max_terms=6),
@@ -235,7 +233,7 @@ def test_row_wise_normal_form_matches_exact_div(data):
         assert _reduce_fraction(ring, num, dpow) == _reduce_by_exact_div(ring, num, dpow)
 
 
-@pytest.mark.parametrize("ring", NORMAL_FORM_MODES, ids=lambda r: r.name)
+@pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
 def test_row_wise_normal_form_of_zero_and_powers_of_d(ring):
     for k in range(7):
         assert _reduce_fraction(ring, ring.zero, k) == (ring.zero, 0)
@@ -308,6 +306,8 @@ def test_ring_axioms(data):
     assert a * ring.one == a
     assert a + ring.zero == a
     assert a - a == ring.zero
+    assert -(-a) == a
+    assert (-a) * b == -(a * b)
 
 
 @settings(max_examples=100, deadline=None)

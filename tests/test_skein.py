@@ -34,7 +34,7 @@ from skeinforge.braid import random_word
 from skeinforge.skein import _weight_kernel
 
 R = GENERIC
-MODES = (GENERIC, CONWAY, gf(5))
+MODES = (GENERIC, CONWAY, gf(2), gf(3), gf(5))
 
 
 def unit_element(ring, bits):
