@@ -32,12 +32,11 @@ from .braid import (
     permute_bits,
     reorder,
     resolve_all,
-    resolve_first,
     split_union,
 )
 from .checks import SUITE_NAMES, SuiteReport, run_suite, run_suites
 from .errors import BoundError, ParseError, PreconditionError, SkeinforgeError
-from .engine import DEFAULT_MAX_CROSSINGS, clear_cache, homfly, unlink_value
+from .engine import DEFAULT_MAX_CROSSINGS, clear_cache, homfly
 from .oracle import homfly_reference
 from .rings import (
     CONWAY,
@@ -77,7 +76,6 @@ __all__ = [
     "parse_word",
     "parse_link",
     "resolve_all",
-    "resolve_first",
     "connected_sum",
     "split_union",
     "reorder",
@@ -94,7 +92,6 @@ __all__ = [
     "specialize",
     "specialize_scalar",
     "homfly",
-    "unlink_value",
     "clear_cache",
     "homfly_reference",
     "DEFAULT_MAX_CROSSINGS",

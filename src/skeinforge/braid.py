@@ -37,7 +37,6 @@ __all__ = [
     "parse_word",
     "parse_link",
     "resolve_all",
-    "resolve_first",
     "connected_sum",
     "split_union",
     "reorder",
@@ -264,32 +263,6 @@ def resolve_all(link: OrderedSingularLink, bits: Sequence[int]) -> SingularBraid
         else:
             out.append((kind, i))
     return SingularBraidWord(link.word.strands, tuple(out))
-
-
-def resolve_first(link: OrderedSingularLink, bit: int) -> OrderedSingularLink:
-    """Resolve the crossing labeled 1 and shift the remaining labels down."""
-    if link.d == 0:
-        raise PreconditionError("no singular crossing to resolve")
-    if bit not in (0, 1):
-        raise PreconditionError(f"resolution bit must be 0 or 1, got {bit}")
-    out: list[Letter] = []
-    new_labels: list[int] = []
-    occ = 0
-    for kind, i in link.word.letters:
-        if kind == SING:
-            label = link.ordering[occ]
-            occ += 1
-            if label == 1:
-                if bit == 1:
-                    out.append((NEG, i))
-            else:
-                out.append((kind, i))
-                new_labels.append(label - 1)
-        else:
-            out.append((kind, i))
-    return OrderedSingularLink(
-        SingularBraidWord(link.word.strands, tuple(out)), tuple(new_labels)
-    )
 
 
 # -- products and relabeling -----------------------------------------

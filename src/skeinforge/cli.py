@@ -22,7 +22,6 @@ from .rings import Ring
 from .skein import (
     DEFAULT_MAX_SING,
     OrderedSkeinElement,
-    SkeinPolynomial,
     invariant,
     invariant_ordered,
 )
@@ -32,14 +31,14 @@ __all__ = ["main"]
 
 def _ring_from_spec(text: str) -> Ring:
     if text == "generic":
-        return Ring.get()
+        return Ring()
     if text == "conway":
-        return Ring.get(conway=True)
+        return Ring(conway=True)
     if text.startswith("gf:"):
         if not _is_nat(text[3:]):
             raise ParseError(f"bad prime in ring spec {text!r}")
         try:
-            return Ring.get(int(text[3:]))
+            return Ring(int(text[3:]))
         except ValueError as exc:
             raise ParseError(str(exc))
     raise ParseError(f"unknown ring {text!r}; use generic, conway, or gf:<p>")
@@ -124,11 +123,9 @@ def _coeff_obj(key, scalar) -> dict:
     return {"i": i, "j": j, "num": str(scalar.num), "dpow": scalar.dpow}
 
 
-def _invariant_payload(d: int, poly: SkeinPolynomial, element: OrderedSkeinElement | None) -> dict:
-    payload = {
-        "d": d,
-        "coeffs": [_coeff_obj(key, poly.coeffs[key]) for key in sorted(poly.coeffs)],
-    }
+def _payload(d: int, coeffs: list, element: OrderedSkeinElement | None = None) -> dict:
+    """The JSON of a polynomial given as sorted ((i, j), LocalizedScalar) pairs."""
+    payload = {"d": d, "coeffs": [_coeff_obj(key, c) for key, c in coeffs]}
     if element is not None:
         payload["ordered"] = [
             {
@@ -150,7 +147,7 @@ def _cmd_invariant(args) -> int:
     # above came from the engine's d + 1 weight sums.
     element = invariant_ordered(link, ring, **bounds) if args.ordered else None
     if args.json:
-        print(json.dumps(_invariant_payload(link.d, poly, element)))
+        print(json.dumps(_payload(link.d, sorted(poly.coeffs.items()), element)))
     else:
         print(poly)
         if element is not None:
@@ -163,11 +160,8 @@ def _cmd_homfly(args) -> int:
     word = parse_link(args.word).word
     value = homfly(word, ring, max_crossings=args.max_crossings)
     if args.json:
-        payload = {
-            "d": 0,
-            "coeffs": [{"i": 0, "j": 0, "num": str(value), "dpow": 0}],
-        }
-        print(json.dumps(payload))
+        # Unlike an invariant's, this one coefficient is listed even when zero.
+        print(json.dumps(_payload(0, [((0, 0), ring.scalar(value))])))
     else:
         print(value)
     return 0

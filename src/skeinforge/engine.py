@@ -36,7 +36,7 @@ w fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
 with no writhe factor.  So a w moving n is peeled as
 w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
 that product expanded with ``act``.  Trace values are lists of
-(packed shift, coefficient) pairs, memoized by W in a table that lives
+(packed exponents, coefficient) pairs, memoized by W in a table that lives
 for one call (or in the caller's ``cache``, which also keeps its ring
 under the key None), so it holds at most 1! + ... + n! entries.  W
 determines w and its length (its largest digit is n - 1), so
@@ -61,7 +61,6 @@ __all__ = [
     "DEFAULT_MAX_CROSSINGS",
     "MAX_STRANDS",
     "MAX_WORK",
-    "unlink_value",
     "homfly",
     "weight_sums",
     "clear_cache",
@@ -92,14 +91,11 @@ _MAX_GRADE = (1 << (_OW - _OG)) - 1
 
 
 def clear_cache() -> None:
-    """Do nothing: no state outlives a call.  Kept as ``bench/`` still calls it."""
+    """Do nothing: no state outlives a call.
 
-
-def unlink_value(ring: Ring, k: int) -> LaurentPoly:
-    """Value of the k-component unlink, delta^(k-1); the empty link is excluded."""
-    if k < 1:
-        raise PreconditionError("links have at least one component")
-    return ring.delta_pow(k - 1)
+    Kept only because ``bench/`` calls it; it goes when the benchmark
+    drops those calls (ROADMAP item 4).
+    """
 
 
 def homfly(
@@ -114,7 +110,9 @@ def homfly(
     ``cache`` is a caller-owned trace table shared across calls in one
     ring: it maps packed permutations to packed trace values and keeps
     its ring under the key None.  By default each call has its own.  A
-    table of another ring raises ``ValueError``.
+    table of another ring raises ``ValueError``.  ``eval_vector`` shares
+    one across its 2^d calls, and ``bench/`` replays with one until
+    ROADMAP item 4 retires that replay.
     """
     if not word.is_classical:
         raise PreconditionError(
@@ -124,7 +122,7 @@ def homfly(
         raise BoundError(
             f"{len(word.letters)} crossings exceeds the bound {max_crossings}"
         )
-    return weight_sums(word, ring, cache=cache)[0]
+    return LaurentPoly._raw(ring, _decode(_packed_sums(word, ring, cache)[0]))
 
 
 def _check_strands(word: SingularBraidWord) -> None:
@@ -133,22 +131,19 @@ def _check_strands(word: SingularBraidWord) -> None:
         raise BoundError(f"{word.strands} strands exceeds the bound {MAX_STRANDS}")
 
 
-def weight_sums(
-    word: SingularBraidWord, ring: Ring, *, cache: dict | None = None
-) -> list[LaurentPoly]:
+def weight_sums(word: SingularBraidWord, ring: Ring) -> list[LaurentPoly]:
     """[S_0, ..., S_d]: S_g sums the values of the resolutions with g negative crossings.
 
     Resolving the d singular letters gives 2^d classical closures; S_g
     is the sum over those whose pattern has g ones.  Raises
     ``BoundError`` above MAX_STRANDS declared strands, above 65535
-    singular letters or above MAX_WORK state terms; ``cache`` (see
-    ``homfly``) must be a table of ``ring``, else ``ValueError``.
+    singular letters or above MAX_WORK state terms.
     """
-    return [LaurentPoly._raw(ring, _decode(s)) for s in _packed_sums(word, ring, cache)]
+    return [LaurentPoly._raw(ring, _decode(s)) for s in _packed_sums(word, ring)]
 
 
 def _packed_sums(word: SingularBraidWord, ring: Ring, cache: dict | None = None) -> list[dict]:
-    """``weight_sums`` as {packed exponents: c} dicts, for callers that stay packed."""
+    """``weight_sums`` as {packed exponents: c} dicts; ``cache`` is ``homfly``'s trace table."""
     _check_strands(word)
     d = word.sing_count
     if d > _MAX_GRADE:
@@ -240,7 +235,7 @@ class _Pass:
         acc: dict = {}
         get = acc.get
         for key, c in state.items():
-            base = key & _LOW
+            base = (key & _LOW) - _ZERO
             for s, f in table[key >> _OW]:
                 k = base + s
                 acc[k] = get(k, 0) + c * f
@@ -267,29 +262,23 @@ class _Pass:
                     k -= 1
                 low = _WIDTH * k
                 u = (v & ((1 << low) - 1)) | (v >> (low + _WIDTH)) << low
-                if k == n - 1:
-                    # v fixes n: delta times the trace of u on n - 1 strands.
-                    level.append((v, u, None))
-                    below.add(u)
-                    continue
-                expanded = {u << _OW | _ZERO: 1}
+                # tau_n(T_v) = tau_(n-1)(T_u g_(n-2) ... g_(k+1)), which is
+                # delta tau_(n-1)(T_u) when v fixes n (k = n - 1, no g).
+                root = u << _OW | _ZERO
+                expanded = {root + s: c for s, c in self.delta} if k == n - 1 else {root: 1}
                 for i in range(n - 2, k, -1):
                     expanded = self.act(expanded, POS, i)
-                level.append((v, u, expanded))
+                level.append((v, expanded))
                 for key in expanded:
                     below.add(key >> _OW)
             n -= 1
             levels.append(level)
             todo = below
         for v in todo:  # the identity of S_1
-            table[v] = [(0, 1)]
+            table[v] = [(_ZERO, 1)]
         for level in reversed(levels):
-            for v, u, expanded in level:
-                if expanded is None:
-                    value = _canonical(_times(table[u], self.delta), self.p).items()
-                else:
-                    value = [(e - _ZERO, c) for e, c in self.contract(expanded).items()]
-                table[v] = list(value)
+            for v, expanded in level:
+                table[v] = list(self.contract(expanded).items())
 
 
 # -- word simplification ----------------------------------------------

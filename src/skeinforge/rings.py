@@ -6,7 +6,8 @@ Three modes cover every coefficient ring the rest of the package uses:
   and x with integer coefficients;
 * ``conway``: the same with t collapsed to 1, i.e. Laurent polynomials
   in x alone;
-* ``gf(p)``: coefficients reduced into the prime field GF(p).
+* ``gf(p)``: coefficients reduced into the prime field GF(p), for a
+  prime p below the bound stated on :class:`Ring`.
 
 Each mode is one shared :class:`Ring`, and every value carries the ring
 it was built in.  Arithmetic and division that mix values of different
@@ -44,11 +45,14 @@ __all__ = [
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES: below it the
+# test is a proof, and it is itself composite.
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for anything below 3.3e24, which is far
-    # beyond any modulus a caller can sanely ask for.
+    # Miller-Rabin to the bases above: a proof below _MR_BOUND, and
+    # ``Ring`` refuses every modulus from there up.
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -210,6 +214,11 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     The remainder's keys sit in a heap of negated keys, so each leading
     term costs O(log T); a popped key no longer in the remainder has
     cancelled since it was pushed and is skipped.
+
+    No CLI path divides with it: ``LocalizedScalar`` divides by D row by
+    row (``_reduce_fraction``).  It is kept as the independent reference
+    that the normal-form tests and ``bench/``'s kernel replay check
+    against.
     """
     _same_ring(a.ring, b.ring)
     if not b.terms:
@@ -269,13 +278,13 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
 class Ring:
     """A computation mode: integer or GF(p) coefficients, with or without t = 1.
 
-    Each mode has exactly one instance: ``Ring(p, conway)``,
-    :meth:`Ring.get`, ``GENERIC``, ``CONWAY`` and :func:`gf` all return
-    the shared one, so the ring is the identity of every value built in
-    it.  Values of different rings never mix (arithmetic raises
-    ``ValueError``) and :func:`specialize` is the only way from one ring
-    into another.  ``p`` is None for the integers, else a prime; a
-    composite modulus raises ``ValueError``.
+    Each mode has exactly one instance: ``Ring(p, conway)``, ``GENERIC``,
+    ``CONWAY`` and :func:`gf` all return the shared one, so the ring is
+    the identity of every value built in it.  Values of different rings
+    never mix (arithmetic raises ``ValueError``) and :func:`specialize`
+    is the only way from one ring into another.  ``p`` is None for the integers, else a prime below
+    psi_13 = 3317044064679887385961981, where the primality test stops
+    being a proof; a composite or larger modulus raises ``ValueError``.
 
     Interns the symbols t, x and their inverses, the two-component
     unlink value delta = x^(-1)(t^(-1) - t), the localization
@@ -317,6 +326,9 @@ class Ring:
         if ring is None:
             if p is not None and not _is_prime(p):
                 raise ValueError(f"modulus must be prime, got {p}")
+            if p is not None and p >= _MR_BOUND:
+                # Passing the test proves nothing from here up.
+                raise ValueError(f"modulus must be below {_MR_BOUND}, got {p}")
             ring = super().__new__(cls)
             ring._build(p, conway)
             # Two threads building one mode at once keep the first registered.
@@ -350,11 +362,6 @@ class Ring:
         self.smooth_neg = -(self.t_inv * self.x)
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)
         self.scalar_one = LocalizedScalar._make(self, self.one, 0)
-
-    @classmethod
-    def get(cls, p: int | None = None, conway: bool = False) -> "Ring":
-        """The shared instance of a mode, the same as ``Ring(p, conway)``."""
-        return cls(p, conway)
 
     def monomial(self, coeff: int, e_t: int = 0, e_x: int = 0) -> LaurentPoly:
         """Build coeff * t^e_t * x^e_x, folding t to 1 in conway mode."""
@@ -589,10 +596,10 @@ def specialize_scalar(scalar: LocalizedScalar, target: Ring) -> LocalizedScalar:
     return LocalizedScalar(target, specialize(scalar.num, target), scalar.dpow)
 
 
-GENERIC = Ring.get()
-CONWAY = Ring.get(conway=True)
+GENERIC = Ring()
+CONWAY = Ring(conway=True)
 
 
 def gf(p: int) -> Ring:
     """The prime-field mode GF(p) with t, x kept generic."""
-    return Ring.get(p)
+    return Ring(p)

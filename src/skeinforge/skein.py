@@ -335,7 +335,12 @@ def solve_coordinates(
 
 
 def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedScalar]:
-    """Forward map: resolution values of an element given by coordinates."""
+    """Forward map: resolution values of an element given by coordinates.
+
+    No CLI path applies it; it is the reference that checks
+    ``solve_coordinates`` by mapping solved coordinates back to values,
+    in the tests and in ``bench/``'s cross-check of its pinned answers.
+    """
     ring, d = element.ring, element.d
     nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
     nums = _axis_pass(ring, nums, d, ring.delta, ring.one)
@@ -368,7 +373,12 @@ def star(a: OrderedSkeinElement, b: OrderedSkeinElement) -> OrderedSkeinElement:
 
 
 def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
-    """Sum coordinates over patterns with i zeros and j ones onto X^i Y^j."""
+    """Sum coordinates over patterns with i zeros and j ones onto X^i Y^j.
+
+    No CLI path projects: ``invariant`` sums the weight sums instead.
+    ``project_unordered(solve_coordinates(...))`` is the reference that
+    the tests and the check suites compare ``invariant`` against.
+    """
     out: dict[tuple[int, int], LocalizedScalar] = {}
     for bits, c in element.coords.items():
         ones = sum(bits)

@@ -74,37 +74,37 @@ def test_criterion_02_freeness():
 
 
 def test_criterion_03_skein_relation():
-    report = suite_skein(seed=20243, cases=200)
+    report = suite_skein(seed=20243)
     assert report.ok and report.cases == 200, report.format()
     passed(3, "skein relation on 200 random triples in all three ring modes")
 
 
 def test_criterion_04_isotopy_invariance():
-    report = suite_markov(seed=20244, cases=200)
+    report = suite_markov(seed=20244)
     assert report.ok and report.cases == 1400, report.format()
     passed(4, "invariance under 200 random applications of each of 7 moves")
 
 
 def test_criterion_05_multiplicativity():
-    report = suite_star(seed=20245, cases=100)
+    report = suite_star(seed=20245)
     assert report.ok and report.cases == 100, report.format()
     passed(5, "connected sum multiplies coordinates and polynomials, unit law")
 
 
 def test_criterion_06_two_products_bridge():
-    report = suite_lemma22(seed=20246, cases=100)
+    report = suite_lemma22(seed=20246)
     assert report.ok and report.cases == 100, report.format()
     passed(6, "(t^-1 - t) inv(sum) = x inv(stacked); stacked dies at t = 1")
 
 
 def test_criterion_07_ordering_independence():
-    report = suite_ordering(seed=20247, cases=100)
+    report = suite_ordering(seed=20247)
     assert report.ok and report.cases == 100, report.format()
     passed(7, "relabeling permutes coordinates, projection unchanged")
 
 
 def test_criterion_08_specialization_coherence():
-    report = suite_specialize(seed=20248, cases=100)
+    report = suite_specialize(seed=20248)
     assert report.ok and report.cases == 100, report.format()
     passed(8, "generic invariants specialize to native conway and GF(5)")
 

@@ -22,7 +22,6 @@ from skeinforge import (
     permute_bits,
     reorder,
     resolve_all,
-    resolve_first,
     split_union,
 )
 from skeinforge.braid import random_word
@@ -140,36 +139,6 @@ def test_resolve_all_validates_length():
         resolve_all(X, (0, 1))
     with pytest.raises(PreconditionError):
         resolve_all(X, (2,))
-
-
-def test_resolve_first_pinned():
-    resolved = resolve_first(X, 0)
-    assert resolved.word == parse_word("2:")
-    assert resolved.ordering == ()
-    xy = connected_sum(X, Y)
-    peeled = resolve_first(xy, 0)
-    assert peeled.word == parse_word("3: t2 s2")
-    assert peeled.ordering == (1,)
-    with pytest.raises(PreconditionError):
-        resolve_first(UNKNOT, 0)
-
-
-def test_resolve_first_composes_to_resolve_all():
-    rng = random.Random(5)
-    for _ in range(50):
-        link = random_word(
-            rng,
-            strands=rng.randint(2, 4),
-            classical=rng.randint(0, 5),
-            sing=rng.randint(1, 3),
-            shuffle_labels=True,
-        )
-        bits = tuple(rng.randint(0, 1) for _ in range(link.d))
-        peeled = link
-        for b in bits:
-            peeled = resolve_first(peeled, b)
-        assert peeled.word == resolve_all(link, bits)
-        assert peeled.d == 0
 
 
 # -- products ----------------------------------------------------------------

@@ -273,14 +273,14 @@ def test_invariant_json_ordered(capsys):
 
 
 def test_homfly_json(capsys):
-    code, out, _ = run(capsys, "homfly", "--json", "2: s1 s1")
-    payload = json.loads(out)
-    assert payload == {
-        "d": 0,
-        "coeffs": [
-            {"i": 0, "j": 0, "num": "-1 t^3 x^(-1) + 1 t x^(-1) + 1 t x", "dpow": 0}
-        ],
-    }
+    for argv, num in [
+        (("2: s1 s1",), "-1 t^3 x^(-1) + 1 t x^(-1) + 1 t x"),
+        # delta vanishes at t = 1; the zero coefficient is still listed.
+        (("--ring", "conway", "2:"), "0"),
+    ]:
+        code, out, _ = run(capsys, "homfly", "--json", *argv)
+        assert code == 0
+        assert json.loads(out) == {"d": 0, "coeffs": [{"i": 0, "j": 0, "num": num, "dpow": 0}]}
 
 
 def test_check_json(capsys):

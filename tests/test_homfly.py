@@ -30,7 +30,6 @@ from skeinforge import (
     parse_word,
     resolve_all,
     split_union,
-    unlink_value,
 )
 
 R = GENERIC
@@ -51,14 +50,6 @@ def random_classical(rng, max_strands=5, max_len=10):
 
 
 # -- base values ----------------------------------------------------------
-
-
-def test_unlink_values():
-    assert unlink_value(R, 1) == R.one
-    assert unlink_value(R, 2) == R.delta
-    assert unlink_value(R, 3) == R.delta * R.delta
-    with pytest.raises(PreconditionError):
-        unlink_value(R, 0)
 
 
 def test_unknot_normalization():

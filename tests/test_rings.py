@@ -20,6 +20,7 @@ from skeinforge import (
     specialize_scalar,
 )
 from skeinforge import rings
+from skeinforge.cli import main
 from skeinforge.rings import _reduce_fraction
 
 # GF(2) and GF(3) are where reducing -c and sums mod p is easiest to get wrong.
@@ -59,14 +60,14 @@ def mode_triples():
 
 def test_ring_requires_prime():
     assert gf(2).p == 2
-    assert Ring.get(97).p == 97
+    assert Ring(97).p == 97
     with pytest.raises(ValueError):
         gf(6)
     with pytest.raises(ValueError):
-        Ring.get(1)
+        Ring(1)
     # A refused modulus leaves nothing behind to hand out later.
     with pytest.raises(ValueError):
-        Ring.get(6, conway=True)
+        Ring(6, conway=True)
 
 
 def test_ring_rejects_strong_pseudoprime_to_bases_below_41():
@@ -74,6 +75,20 @@ def test_ring_rejects_strong_pseudoprime_to_bases_below_41():
     # up to 37; base 41 makes the test deterministic below 3.3e24.
     with pytest.raises(ValueError):
         gf(318665857834031151167461)
+
+
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def test_ring_refuses_moduli_from_psi_13_up(capsys):
+    # psi_13 passes Miller-Rabin to all thirteen bases, so from it up
+    # the test proves nothing and even a prime such as 2^89 - 1 is refused.
+    assert PSI_13 == 3317044064679887385961981
+    for p in (PSI_13, 2**89 - 1):
+        with pytest.raises(ValueError):
+            gf(p)
+    assert main(["homfly", "--ring", f"gf:{PSI_13}", "2: s1 s1 s1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_canonical_form_drops_zeros():
@@ -421,10 +436,9 @@ def test_specialize_scalar_consistency(num, k):
 
 
 def test_ring_registry_shares_instances():
-    assert Ring.get() is Ring.get()
-    assert Ring.get(5) is gf(5)
-    assert Ring.get(conway=True) is CONWAY
-    assert Ring(5) is gf(5) and Ring() is GENERIC
+    assert Ring() is Ring() is GENERIC
+    assert Ring(5) is gf(5)
+    assert Ring(conway=True) is CONWAY
     assert copy.deepcopy(CONWAY.x).ring is CONWAY
     assert pickle.loads(pickle.dumps(gf(5).x)) == gf(5).x
 
