@@ -52,6 +52,14 @@ def random_classical(rng, max_strands=5, max_len=10):
 # -- base values ----------------------------------------------------------
 
 
+def test_unlink_values():
+    # The k-component unlink is delta^(k-1); a braid has at least one strand.
+    for k in (1, 2, 3):
+        assert homfly(parse_word(f"{k}:"), R) == R.delta_pow(k - 1)
+    with pytest.raises(ValueError):
+        SingularBraidWord(0, ())
+
+
 def test_unknot_normalization():
     assert homfly(parse_word("1:"), R) == R.one
     assert homfly(parse_word("2: s1"), R) == R.one
@@ -274,6 +282,21 @@ def test_work_bound_refuses_the_widest_default_words():
             homfly(word, R)
         with pytest.raises(BoundError):
             engine.weight_sums(word, R)
+
+
+def test_work_count_of_the_13_strand_pin(monkeypatch):
+    # s1 s1 ... s12 s12, a chain of twelve Hopf links, makes exactly 12,285
+    # terms in act, pass and trace expansions together; a permutation
+    # fixing the top strand adds none.
+    pin = parse_word("13: " + " ".join(f"s{i} s{i}" for i in range(1, 13)))
+    monkeypatch.setattr(engine, "MAX_WORK", 12_285)
+    chain = R.one
+    for _ in range(12):
+        chain = chain * HOPF_VALUE
+    assert homfly(pin, R) == chain
+    monkeypatch.setattr(engine, "MAX_WORK", 12_284)
+    with pytest.raises(BoundError, match="bound of 12284 terms"):
+        homfly(pin, R)
 
 
 def test_shared_table_across_strand_counts():
