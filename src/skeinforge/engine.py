@@ -118,11 +118,14 @@ def homfly(
         raise PreconditionError(
             "word has singular crossings; resolve them before evaluating"
         )
-    if len(word.letters) > max_crossings:
-        raise BoundError(
-            f"{len(word.letters)} crossings exceeds the bound {max_crossings}"
-        )
+    _check_crossings(word, max_crossings)
     return LaurentPoly._raw(ring, _decode(_packed_sums(word, ring, cache)[0]))
+
+
+def _check_crossings(word: SingularBraidWord, max_crossings: int) -> None:
+    """Refuse a word of more letters than max_crossings, for ``homfly`` and ``invariant`` alike."""
+    if len(word.letters) > max_crossings:
+        raise BoundError(f"{len(word.letters)} crossings exceeds the bound {max_crossings}")
 
 
 def _check_strands(word: SingularBraidWord) -> None:

@@ -288,9 +288,9 @@ class Ring:
 
     Interns the symbols t, x and their inverses, the two-component
     unlink value delta = x^(-1)(t^(-1) - t), the localization
-    denominator D, and the entries of D times the inverse of the
-    resolution matrix [[delta, 1], [1, delta]]: ``inv_diag`` =
-    x(t^(-1) - t) on the diagonal and ``inv_off`` = -x^2 off it, and the
+    denominator D, which makes the resolution matrix
+    M(delta) = [[delta, 1], [1, delta]] invertible as
+    M(delta)^(-1) = (-x^2 / D) M(-delta), and the
     skein-step monomials of the engine: switching a positive (negative)
     crossing costs ``switch_pos`` = t^2 (``switch_neg`` = t^(-2)),
     smoothing it ``smooth_pos`` = t x (``smooth_neg`` = -t^(-1) x), which
@@ -309,8 +309,6 @@ class Ring:
         "x_inv",
         "delta",
         "denom",
-        "inv_diag",
-        "inv_off",
         "switch_pos",
         "smooth_pos",
         "switch_neg",
@@ -354,8 +352,6 @@ class Ring:
         self.x_inv = self.monomial(1, 0, -1)
         self.delta = self.x_inv * (self.t_inv - self.t)
         self.denom = (self.t_inv - self.t - self.x) * (self.t_inv - self.t + self.x)
-        self.inv_diag = self.x * (self.t_inv - self.t)
-        self.inv_off = -(self.x * self.x)
         self.switch_pos = self.t * self.t
         self.smooth_pos = self.t * self.x
         self.switch_neg = self.t_inv * self.t_inv

@@ -5,41 +5,43 @@ negative crossing) yields 2^d classical closures.  Their polynomial
 values form a vector p related to the link's coordinates a in the basis
 indexed by {0,1}^d through a Kronecker power of the fixed 2x2 matrix
 
-    M = [[delta, 1], [1, delta]],      det M = D / x^2,
+    M(delta) = [[delta, 1], [1, delta]],      det M(delta) = D / x^2,
 
-so a is recovered by applying M^(-1) along each of the d tensor axes.
-Since M^(-1) = (1/D) [[A, B], [B, A]] with A = x(t^(-1) - t) and
-B = -x^2, the axes run on plain Laurent numerators and every coordinate
-is one numerator over D^d, put in normal form once at the end.
-Coordinates live in the localization at D; no other denominators ever
-appear.
+so a is recovered by applying M(delta)^(-1) along each of the d tensor
+axes.  As delta^2 - 1 is a unit, that is M(delta) with delta negated:
+
+    M(delta)^(-1) = (B / D) M(-delta),      B = -x^2,
+
+so the solve runs ``apply_cube``'s butterfly with -delta on Laurent
+numerators, and each coordinate is B^d times one numerator over D^d, put
+in normal form once.  No denominator but powers of D ever appears.
 
 Summing coordinates over patterns with d - j zeros and j ones projects
 onto the coefficient of X^(d-j) Y^j of the commutative polynomial
-invariant.  That sum never needs the 2^d coordinates: M^(-1) tensored d
-times commutes with permuting the tensor factors, so the projection
-sees the values only through the weight sums S_w = sum of p_eps over
-|eps| = w, and
+invariant.  That sum never needs the 2^d coordinates: M(-delta)
+tensored d times commutes with permuting the tensor factors, so the
+projection sees the values only through the weight sums S_w = sum of
+p_eps over |eps| = w, and with c = -delta
 
-    coefficient of X^(d-j) Y^j = D^(-d) sum_w [z^j] (A + B z)^(d-w) (B + A z)^w S_w.
+    coefficient of X^(d-j) Y^j = B^d D^(-d) sum_w [z^j] (c + z)^(d-w) (1 + c z)^w S_w.
 
-This is exact.  Over D^d, the coordinate at eta receives p_eps times
-the product over k of A where eta_k = eps_k and B where they differ.
-Marking each one bit of eta with z, these products summed over all eta
-give (A + B z) for each zero bit of eps and (B + A z) for each one bit,
-so the z^j coefficient is their sum over the coordinates of weight j.
+This is exact.  Over D^d and up to B^d, the coordinate at eta receives
+p_eps times the product over k of c where eta_k = eps_k and 1 where they
+differ.  Marking each one bit of eta with z, these products summed over
+all eta give (c + z) for each zero bit of eps and (1 + c z) for each one
+bit, so the z^j coefficient is their sum over the coordinates of weight j.
 Only the grouping of exact sums changes, so the result is the
 projection of the solved coordinates, term for term.  ``invariant``
 computes the polynomial this way, with or without ``--ordered``, and
 takes the weight sums from the engine's graded pass (the packed form
 of ``engine.weight_sums``), which never forms the 2^d resolutions.
 Expanding both binomials, [z^j] of row w is an integer combination of
-the d + 1 products A^a B^(d-a), so the kernel is integer binomials
+the d + 1 powers c^a, so the kernel is integer binomials
 (``_weight_kernel``) and the sum runs on flat integer terms keyed by
-the engine's packed exponents: for each j, sum_a A^a B^(d-a) T_a by
-Horner in A, with T_a an integer combination of the S_w and B a
-monomial, so every product by a monomial adds a constant to the key.
-Exponents are decoded once per output coefficient.
+the engine's packed exponents: for each j, sum_a c^a T_a by Horner in
+c, with T_a an integer combination of the S_w, each S_w multiplied once
+by the monomial B^d, which adds a constant to every key.  Exponents are
+decoded once per output coefficient.
 ``eval_vector`` lists the resolution values for ``--ordered``;
 ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
@@ -53,7 +55,8 @@ from typing import Mapping
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import (
-    DEFAULT_MAX_CROSSINGS, _check_strands, _decode, _pack, _packed_sums, _times, homfly
+    DEFAULT_MAX_CROSSINGS, _check_crossings, _check_strands, _decode, _pack, _packed_sums, _times,
+    homfly,
 )
 from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _mul_terms, _same_ring
 
@@ -278,17 +281,14 @@ def eval_vector(
 def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) -> None:
     if link.d > max_sing:
         raise BoundError(f"{link.d} singular crossings exceeds the bound {max_sing}")
-    if len(link.word.letters) > max_crossings:
-        raise BoundError(
-            f"{len(link.word.letters)} letters exceeds the crossing bound {max_crossings}"
-        )
+    _check_crossings(link.word, max_crossings)
     _check_strands(link.word)
 
 
-def _axis_pass(ring: Ring, nums: list, d: int, diag, off) -> list[LaurentPoly]:
-    # nums times the d-th tensor power of ((diag, off), (off, diag)), one axis
-    # at a time; each entry, diag v0 + off v1, sums in one dict, reduced once.
-    p, diag, off = ring.p, diag.terms, off.terms
+def _axis_pass(ring: Ring, nums: list, d: int, c: LaurentPoly) -> list[LaurentPoly]:
+    # nums times M(c) = ((c, 1), (1, c)) tensored d times, one axis at a time;
+    # each entry, the other operand plus c times its own, is reduced once.
+    p, c = ring.p, c.terms
     vec = [num.terms for num in nums]
     for axis in range(d):
         stride = 1 << (d - 1 - axis)
@@ -296,8 +296,8 @@ def _axis_pass(ring: Ring, nums: list, d: int, diag, off) -> list[LaurentPoly]:
             if base & stride:
                 continue
             v0, v1 = vec[base], vec[base | stride]
-            vec[base] = _canonical(_mul_terms(_mul_terms({}, diag, v0), off, v1), p)
-            vec[base | stride] = _canonical(_mul_terms(_mul_terms({}, off, v0), diag, v1), p)
+            vec[base] = _canonical(_mul_terms(dict(v1), c, v0), p)
+            vec[base | stride] = _canonical(_mul_terms(dict(v0), c, v1), p)
     return [LaurentPoly._raw(ring, terms) for terms in vec]
 
 
@@ -317,9 +317,9 @@ def solve_coordinates(
     """Coordinates a with (M tensor ... tensor M) a = values.
 
     ``values`` must hold all 2^d patterns of one length d.  Each axis is
-    inverted independently on numerators, O(d 2^d) polynomial operations
-    with no division, and each coordinate is put in normal form once:
-    over a common D^k of the values, its denominator is D^(d + k).
+    inverted on numerators by M(-delta) (module docstring): O(d 2^d)
+    polynomial operations with no division.  Each numerator times B^d is
+    put in normal form once, over D^(d + k) for a common D^k of the values.
     """
     if not values:
         raise ValueError("values must contain the empty pattern at least")
@@ -329,8 +329,9 @@ def solve_coordinates(
     ):
         raise ValueError(f"need all {1 << d} patterns of length {d}")
     nums, k = _numerators(ring, [values[bits] for bits in all_patterns(d)])
-    nums = _axis_pass(ring, nums, d, ring.inv_diag, ring.inv_off)
-    coords = {bits: ring.scalar(num, d + k) for bits, num in zip(all_patterns(d), nums)}
+    nums = _axis_pass(ring, nums, d, -ring.delta)
+    b_pow = ring.monomial((-1) ** d, 0, 2 * d)
+    coords = {bits: ring.scalar(num * b_pow, d + k) for bits, num in zip(all_patterns(d), nums)}
     return OrderedSkeinElement(ring, d, coords)
 
 
@@ -343,7 +344,7 @@ def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedS
     """
     ring, d = element.ring, element.d
     nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
-    nums = _axis_pass(ring, nums, d, ring.delta, ring.one)
+    nums = _axis_pass(ring, nums, d, ring.delta)
     return {bits: ring.scalar(num, k) for bits, num in zip(all_patterns(d), nums)}
 
 
@@ -389,10 +390,10 @@ def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
 
 
 def _weight_kernel(d: int) -> list[list[list[tuple[int, int]]]]:
-    """Integer form of the rows [z^j] (A + B z)^(d - w) (B + A z)^w, by j and a.
+    """Integer form of the rows [z^j] (c + z)^(d - w) (1 + c z)^w, by j and a.
 
     Expanding both binomials, [z^j] of row w is the sum over i of
-    C(d - w, i) C(w, j - i) A^a B^(d - a) with a = d - w - 2i + j.  Entry
+    C(d - w, i) C(w, j - i) c^a with a = d - w - 2i + j.  Entry
     [j][a] lists the pairs (w, C(d - w, i) C(w, j - i)) of that sum, so
     the rows need no ring at all.
     """
@@ -416,14 +417,15 @@ def invariant(
     Computed from the d + 1 weight sums S_w of the resolution values, with
     no 2^d solve: the coefficient of X^(d-j) Y^j is
 
-        D^(-d) sum_w [z^j] (A + B z)^(d-w) (B + A z)^w S_w,
+        B^d D^(-d) sum_w [z^j] (c + z)^(d-w) (1 + c z)^w S_w,
 
-    where A = x(t^(-1) - t) and B = -x^2 are the entries of D M^(-1).
-    The kernel is integer binomials; per j the sum runs by Horner in A
-    on flat integer terms keyed by packed exponents, so it costs O(d^2) products by the two-term A
-    and O(d^3) integer-scaled additions of weight sums, then d + 1
+    where c = -delta and B = -x^2, as M(delta)^(-1) = (B / D) M(-delta).
+    The kernel is integer binomials; per j the sum runs by Horner in c
+    on flat integer terms keyed by packed exponents, so it costs O(d^2)
+    products by the two-term c and O(d^3) integer-scaled additions of
+    weight sums (each multiplied once by the monomial B^d), then d + 1
     row-wise normal forms by D.  It is exact: the z^j coefficient of that
-    product is the sum, over the coordinates of weight j, of the A/B
+    product is the sum, over the coordinates of weight j, of the c/1
     factors pattern eps of weight w sends them (see the module
     docstring), so only the grouping of exact sums differs from
     ``project_unordered(solve_coordinates(...))``.
@@ -435,25 +437,23 @@ def invariant(
     """
     _check_bounds(link, max_sing, max_crossings)
     d = link.d
-    sums = [weight_sum.items() for weight_sum in _packed_sums(link.word, ring)]
+    # B^d multiplies each weight sum once, as the sums are smaller than
+    # the d + 1 accumulators.
+    b_pow = _pack(ring.monomial((-1) ** d, 0, 2 * d))
+    sums = [_times(sum_w.items(), b_pow).items() for sum_w in _packed_sums(link.word, ring)]
     p = ring.p
-    ((b_shift, b_c),) = _pack(ring.inv_off)
-    diag = _pack(ring.inv_diag)
+    neg_delta = _pack(-ring.delta)
     coeffs = {}
     for j, by_power in enumerate(_weight_kernel(d)):
-        # sum_a A^a B^(d-a) T_a, T_a = sum_w n S_w, by Horner in A; B is a
-        # monomial.  Keys are packed exponents, so every product is a shift.
+        # sum_a c^a T_a, T_a = sum_w n S_w, by Horner in c = -delta.  Keys
+        # are packed exponents, so each product by a term of c is a shift.
         acc: dict = {}
         for a in range(d, -1, -1):
-            acc = _times(acc.items(), diag)
-            k = d - a
-            shift, scale = k * b_shift, b_c**k
+            acc = _times(acc.items(), neg_delta)
             get = acc.get
             for w, n in by_power[a]:
-                n *= scale
-                for e, c in sums[w]:
-                    key = e + shift
-                    acc[key] = get(key, 0) + n * c
+                for e, s in sums[w]:
+                    acc[e] = get(e, 0) + n * s
         num = LaurentPoly._raw(ring, _decode(_canonical(acc, p)))
         coeffs[(d - j, j)] = ring.scalar(num, d)
     return SkeinPolynomial(ring, coeffs)

@@ -153,6 +153,13 @@ def test_strand_count_above_the_bound_is_exit_3(capsys, command, count):
     assert err == f"bound exceeded: {count} strands exceeds the bound 2048\n"
 
 
+@pytest.mark.parametrize("command", ["invariant", "homfly"])
+def test_crossing_bound_message_is_the_same_for_both_commands(capsys, command):
+    code, out, err = run(capsys, command, "3: " + " ".join(["s1 s2"] * 12 + ["s1"]))
+    assert (code, out) == (3, "")
+    assert err == "bound exceeded: 25 crossings exceeds the bound 24\n"
+
+
 GREEDY_WORDS = [
     "10: " + " ".join(f"s{i}^-1" for top in (10, 9, 8) for i in range(1, top)),
     "13: " + " ".join(f"s{i}^-1" for top in (13, 12) for i in range(1, top)),

@@ -351,7 +351,8 @@ def test_localized_zero_normal_form():
     r = GENERIC
     z = r.scalar(r.zero, 3)
     assert (z.num, z.dpow) == (r.zero, 0)
-    assert not z
+    assert not z and z.is_zero
+    assert not r.scalar(r.x, 2).is_zero
 
 
 @settings(max_examples=150, deadline=None)

@@ -54,13 +54,14 @@ def random_poly(rng, ring):
 
 @pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
 def test_eval_matrix_inverse_exact(ring):
-    # [[delta, 1], [1, delta]] [[A, B], [B, A]] = D I, with A and B the
-    # entries the solve multiplies by.
+    # B M(delta) M(-delta) = D I with B = -x^2: the inverse the solve
+    # applies is M(-delta) times B / D.
+    b = -(ring.x * ring.x)
     m = ((ring.delta, ring.one), (ring.one, ring.delta))
-    m_inv = ((ring.inv_diag, ring.inv_off), (ring.inv_off, ring.inv_diag))
+    m_neg = ((-ring.delta, ring.one), (ring.one, -ring.delta))
     for r in range(2):
         for c in range(2):
-            entry = m[r][0] * m_inv[0][c] + m[r][1] * m_inv[1][c]
+            entry = b * (m[r][0] * m_neg[0][c] + m[r][1] * m_neg[1][c])
             assert entry == (ring.denom if r == c else ring.zero)
 
 
@@ -190,9 +191,15 @@ def test_containers_refuse_values_of_another_ring():
         solve_coordinates({(0,): CONWAY.delta, (1,): CONWAY.one}, R)
     with pytest.raises(ValueError):
         star(unit_element(R, (0,)), unit_element(CONWAY, (1,)))
+    with pytest.raises(ValueError):
+        invariant(X, R) + invariant(X, CONWAY)
+    with pytest.raises(ValueError):
+        invariant(X, R) - invariant(X, CONWAY)
     # Empty containers of two rings hold no values, but still differ.
     assert OrderedSkeinElement(R, 1, {}) != OrderedSkeinElement(CONWAY, 1, {})
     assert SkeinPolynomial(R, {}) != SkeinPolynomial(CONWAY, {})
+    assert OrderedSkeinElement(R, 1, {(0,): R.scalar_zero}).is_zero
+    assert not unit_element(R, (0,)).is_zero
 
 
 def test_project_unordered():
@@ -213,6 +220,9 @@ def test_project_is_an_algebra_map():
         e1 = invariant_ordered(l1, R)
         e2 = invariant_ordered(l2, R)
         assert project_unordered(star(e1, e2)) == project_unordered(e1) * project_unordered(e2)
+        p1, p2 = invariant(l1, R), invariant(l2, R)
+        assert p1 + p2 - p1 == p2
+        assert (p1 - p1).is_zero and not p1.is_zero
 
 
 def test_invariant_pinned():
@@ -264,24 +274,33 @@ def _zmul(ring, p, q):
     return out
 
 
+def _entries_of_d_times_inverse(ring):
+    # D M(delta)^(-1) = [[A, B], [B, A]], written out independently of the
+    # solve's B M(-delta) form.
+    return ring.x * (ring.t_inv - ring.t), -(ring.x * ring.x)
+
+
 def _kernel_by_expansion(ring, d):
     # Row w: the z^j coefficients of (A + B z)^(d - w) (B + A z)^w, multiplied out.
     powers = [[ring.one]]
     for _ in range(d):
-        powers.append(_zmul(ring, powers[-1], [ring.inv_diag, ring.inv_off]))
+        powers.append(_zmul(ring, powers[-1], list(_entries_of_d_times_inverse(ring))))
     return [_zmul(ring, powers[d - w], powers[w][::-1]) for w in range(d + 1)]
 
 
 @pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
 def test_weight_kernel_matches_expansion(ring):
+    # As A = B c, the kernel's integers read with A^a B^(d - a) in place
+    # of c^a give the rows of the A/B form.
+    big_a, big_b = _entries_of_d_times_inverse(ring)
     for d in range(11):
         # flat[a] = A^a B^(d - a)
         flat = [ring.one] * (d + 1)
         for a in range(d + 1):
             for _ in range(a):
-                flat[a] = flat[a] * ring.inv_diag
+                flat[a] = flat[a] * big_a
             for _ in range(d - a):
-                flat[a] = flat[a] * ring.inv_off
+                flat[a] = flat[a] * big_b
         rows = [[ring.zero] * (d + 1) for _ in range(d + 1)]
         for j, by_power in enumerate(_weight_kernel(d)):
             for a, pairs in enumerate(by_power):
