@@ -10,6 +10,10 @@ one shared ``Ring``, and every value carries the ring it was built in:
 mixing values of different rings raises ``ValueError``, and
 ``specialize`` (or ``specialize_scalar``) is the only way to move a
 value from one ring into another.
+
+Importing the package loads only what ``invariant`` and ``homfly`` run.
+The check suites and the reference evaluator load on first use of the
+names in ``_LAZY``.
 """
 
 __version__ = "0.1.0"
@@ -34,10 +38,8 @@ from .braid import (
     resolve_all,
     split_union,
 )
-from .checks import SUITE_NAMES, SuiteReport, run_suite, run_suites
 from .errors import BoundError, ParseError, PreconditionError, SkeinforgeError
 from .engine import DEFAULT_MAX_CROSSINGS, clear_cache, homfly
-from .oracle import homfly_reference
 from .rings import (
     CONWAY,
     GENERIC,
@@ -114,3 +116,23 @@ __all__ = [
     "BoundError",
     "PreconditionError",
 ]
+
+# Served by __getattr__ (PEP 562), so a plain start does not load them.
+_LAZY = {
+    "SUITE_NAMES": "checks",
+    "SuiteReport": "checks",
+    "run_suite": "checks",
+    "run_suites": "checks",
+    "homfly_reference": "oracle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -20,11 +20,9 @@ Everything here is immutable; operations return new values.
 
 from __future__ import annotations
 
-import random
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -54,25 +52,59 @@ POS, NEG, SING = 1, -1, 0
 Letter = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SingularBraidWord:
+class _Value:
+    """An immutable value compared, hashed and shown by its ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class SingularBraidWord(_Value):
     """A word on ``strands`` strands; ``letters`` is a tuple of (kind, index)."""
 
-    strands: int
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("strands", "letters")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: Iterable[Letter] = ()):
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        clean = tuple((int(k), int(i)) for k, i in self.letters)
+        clean = tuple((int(k), int(i)) for k, i in letters)
         for kind, i in clean:
             if kind not in (POS, NEG, SING):
                 raise ValueError(f"unknown letter kind {kind}")
-            if not 1 <= i <= self.strands - 1:
+            if not 1 <= i <= strands - 1:
                 raise ValueError(
-                    f"letter index {i} out of range for {self.strands} strands"
+                    f"letter index {i} out of range for {strands} strands"
                 )
-        object.__setattr__(self, "letters", clean)
+        self._set(strands=strands, letters=clean)
 
     @property
     def sing_count(self) -> int:
@@ -117,26 +149,25 @@ def _letter_str(letter: Letter) -> str:
     return f"t{i}"
 
 
-@dataclass(frozen=True)
-class OrderedSingularLink:
+class OrderedSingularLink(_Value):
     """A singular braid word plus labels on its singular crossings.
 
     ``ordering[j]`` is the label (1-based) carried by the j-th singular
     letter in word order; None means occurrence order.
     """
 
-    word: SingularBraidWord
-    ordering: tuple[int, ...] | None = None
+    __slots__ = ("word", "ordering")
+    _fields = __slots__
 
-    def __post_init__(self):
-        d = self.word.sing_count
-        if self.ordering is None:
+    def __init__(self, word: SingularBraidWord, ordering: Iterable[int] | None = None):
+        d = word.sing_count
+        if ordering is None:
             labels = tuple(range(1, d + 1))
         else:
-            labels = tuple(int(v) for v in self.ordering)
+            labels = tuple(int(v) for v in ordering)
         if sorted(labels) != list(range(1, d + 1)):
             raise ValueError(f"ordering must be a permutation of 1..{d}, got {labels}")
-        object.__setattr__(self, "ordering", labels)
+        self._set(word=word, ordering=labels)
 
     @property
     def d(self) -> int:
@@ -346,14 +377,18 @@ def components_unionfind(word: SingularBraidWord) -> int:
 
 
 def random_word(
-    rng: random.Random,
+    rng,
     *,
     strands: int,
     classical: int,
     sing: int = 0,
     shuffle_labels: bool = False,
 ) -> OrderedSingularLink:
-    """A random ordered link: ``classical`` crossing letters plus ``sing`` rigid ones."""
+    """A random ordered link: ``classical`` crossing letters plus ``sing`` rigid ones.
+
+    ``rng`` is a ``random.Random``; this module does not import ``random``,
+    which only the check suites and the tests use.
+    """
     if strands < 2 and (classical or sing):
         raise ValueError("letters need at least two strands")
     letters: list[Letter] = []

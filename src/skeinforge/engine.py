@@ -27,9 +27,10 @@ letter.  The fields never wrap: MAX_STRANDS keeps w(k) below 2^11, a
 word with more singular letters than the grade field holds is refused,
 and MAX_WORK, a bound on the terms ``act`` produces in one pass (one
 ``weight_sums`` call, its trace expansions included), also bounds the
-letters and so the exponents.  Each bound raises ``BoundError``.  Each
-pass has its own count: ``invariant --ordered`` runs one graded pass
-and 2^d resolution passes, so MAX_WORK does not bound it as a whole.
+letters and so the exponents.  Each bound raises ``BoundError``.  The
+2^d resolution passes of one ``eval_vector`` call share one count
+instead, against ``skein.MAX_CUBE_WORK``, so ``invariant --ordered`` is
+bounded by MAX_WORK for its graded pass and by MAX_CUBE_WORK for the rest.
 
 The trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when
 w fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
@@ -110,16 +111,17 @@ def homfly(
     ``cache`` is a caller-owned trace table shared across calls in one
     ring: it maps packed permutations to packed trace values and keeps
     its ring under the key None.  By default each call has its own.  A
-    table of another ring raises ``ValueError``.  ``eval_vector`` shares
-    one across its 2^d calls, and ``bench/`` replays with one until
-    ROADMAP item 4 retires that replay.
+    table of another ring raises ``ValueError``.  ``bench/`` replays
+    with one until ROADMAP item 4 retires that replay.
     """
     if not word.is_classical:
         raise PreconditionError(
             "word has singular crossings; resolve them before evaluating"
         )
     _check_crossings(word, max_crossings)
-    return LaurentPoly._raw(ring, _decode(_packed_sums(word, ring, cache)[0]))
+    table = {} if cache is None else cache
+    _same_ring(table.setdefault(None, ring), ring)
+    return LaurentPoly._raw(ring, _decode(_packed_sums(word, ring, _Pass(ring, table))[0]))
 
 
 def _check_crossings(word: SingularBraidWord, max_crossings: int) -> None:
@@ -145,15 +147,19 @@ def weight_sums(word: SingularBraidWord, ring: Ring) -> list[LaurentPoly]:
     return [LaurentPoly._raw(ring, _decode(s)) for s in _packed_sums(word, ring)]
 
 
-def _packed_sums(word: SingularBraidWord, ring: Ring, cache: dict | None = None) -> list[dict]:
-    """``weight_sums`` as {packed exponents: c} dicts; ``cache`` is ``homfly``'s trace table."""
+def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) -> list[dict]:
+    """``weight_sums`` as {packed exponents: c} dicts.
+
+    ``run`` is a pass of ``ring`` that earlier calls may have used: its
+    trace table and its work count carry over.  By default the call has
+    a pass of its own.
+    """
     _check_strands(word)
     d = word.sing_count
     if d > _MAX_GRADE:
         raise BoundError(f"{d} singular crossings exceeds the bound {_MAX_GRADE}")
-    table = {} if cache is None else cache
-    _same_ring(table.setdefault(None, ring), ring)
-    run = _Pass(ring, table)
+    if run is None:
+        run = _Pass(ring, {})
     n, letters, delta_pow = _simplify(word.strands, word.letters)
     identity = sum(k << _WIDTH * k for k in range(n))
     state = {identity << _OW | _ZERO: 1}
@@ -192,17 +198,24 @@ def _times(terms, shifts: list) -> dict:
 
 
 class _Pass:
-    """One call's skein steps, trace table and count of the terms produced."""
+    """Skein steps, a trace table and a count of the terms produced against a bound.
 
-    __slots__ = ("p", "steps", "delta", "table", "work")
+    One call has one: a ``homfly`` or ``weight_sums`` call, bounded by
+    MAX_WORK, or all 2^d passes of one ``eval_vector`` call, bounded by
+    ``skein.MAX_CUBE_WORK`` together.
+    """
 
-    def __init__(self, ring: Ring, table: dict):
+    __slots__ = ("p", "steps", "delta", "table", "work", "limit", "refusal")
+
+    def __init__(self, ring: Ring, table: dict, limit: int | None = None, what: str = "the Hecke pass exceeds"):
         self.p = ring.p
         monomials = (ring.smooth_pos, ring.switch_pos, ring.smooth_neg, ring.switch_neg)
         self.steps = tuple(pair for m in monomials for pair in _pack(m))
         self.delta = _pack(ring.delta)
         self.table = table
         self.work = 0
+        self.limit = MAX_WORK if limit is None else limit
+        self.refusal = f"{what} the bound of {self.limit} terms"
 
     def act(self, state: dict, kind: int, i: int) -> dict:
         """The state times g_i (POS), g_i^(-1) (NEG) or 1 + Y g_i^(-1) (SING)."""
@@ -228,8 +241,8 @@ class _Pass:
                 out[key] = get(key, 0) + c * mc
                 out[other] = get(other, 0) + c * nc
         self.work += len(out)
-        if self.work > MAX_WORK:
-            raise BoundError(f"the Hecke pass exceeds the bound of {MAX_WORK} terms")
+        if self.work > self.limit:
+            raise BoundError(self.refusal)
         return _canonical(out, self.p)
 
     def contract(self, state: dict) -> dict:

@@ -28,8 +28,8 @@ between threads or processes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
 
 __all__ = [
     "LaurentPoly",

@@ -49,19 +49,19 @@ reference that the tests and the check suites compare against.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from math import comb
-from typing import Mapping
 
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import (
-    DEFAULT_MAX_CROSSINGS, _check_crossings, _check_strands, _decode, _pack, _packed_sums, _times,
-    homfly,
+    DEFAULT_MAX_CROSSINGS, _check_crossings, _check_strands, _decode, _pack, _packed_sums, _Pass, _times,
 )
 from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _mul_terms, _same_ring
 
 __all__ = [
     "DEFAULT_MAX_SING",
+    "MAX_CUBE_WORK",
     "OrderedSkeinElement",
     "SkeinPolynomial",
     "eval_vector",
@@ -74,6 +74,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_SING = 10
+# State terms that the 2^d resolution passes of one eval_vector call may
+# produce together (engine.MAX_WORK bounds one pass).  The pinned corpora,
+# the check suites and the tests peak at 262,431 (the d = 10 word).
+MAX_CUBE_WORK = 2_750_000
 
 
 class OrderedSkeinElement:
@@ -269,11 +273,15 @@ def eval_vector(
     max_sing: int = DEFAULT_MAX_SING,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> dict[tuple[int, ...], LaurentPoly]:
-    """Polynomial value of every full resolution, keyed by bit pattern."""
+    """Polynomial value of every full resolution, keyed by bit pattern.
+
+    The 2^d passes share one trace table and one work count, so more
+    than MAX_CUBE_WORK terms over all of them raise ``BoundError``.
+    """
     _check_bounds(link, max_sing, max_crossings)
-    table: dict = {}  # one trace table for the 2^d calls, dropped on return
+    run = _Pass(ring, {}, MAX_CUBE_WORK, "the resolution passes exceed")
     return {
-        bits: homfly(resolve_all(link, bits), ring, max_crossings=max_crossings, cache=table)
+        bits: LaurentPoly._raw(ring, _decode(_packed_sums(resolve_all(link, bits), ring, run)[0]))
         for bits in all_patterns(link.d)
     }
 

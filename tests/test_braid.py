@@ -1,5 +1,7 @@
 """Words, parsing, closures, resolutions, and the two products."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -88,12 +90,42 @@ def test_render_round_trip():
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a braid needs at least one strand$"):
         SingularBraidWord(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^letter index 2 out of range for 2 strands$"):
         SingularBraidWord(2, ((POS, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown letter kind 5$"):
+        SingularBraidWord(2, ((5, 1),))
+    with pytest.raises(ValueError, match=r"^ordering must be a permutation of 1\.\.1, got \(2,\)$"):
         OrderedSingularLink(parse_word("2: t1"), (2,))
+    # Words and links are immutable values; list letters and labels are
+    # normalized to tuples.
+    word = SingularBraidWord(2, [[POS, 1]])
+    assert word.letters == ((POS, 1),)
+    assert repr(word) == "SingularBraidWord(strands=2, letters=((1, 1),))"
+    assert word == SingularBraidWord(strands=2, letters=((POS, 1),))
+    assert hash(word) == hash(parse_word("2: s1"))
+    assert word != SingularBraidWord(2, ((NEG, 1),))
+    assert word != (2, ((POS, 1),))
+    link = parse_link("3: t1 t2 | o = 2 1")
+    assert link.ordering == (2, 1)
+    assert OrderedSingularLink(link.word, [2, 1]) == link
+    assert hash(OrderedSingularLink(link.word, [2, 1])) == hash(link)
+    assert link != OrderedSingularLink(link.word)
+    assert repr(link) == (
+        "OrderedSingularLink(word=SingularBraidWord(strands=3, letters=((0, 1), (0, 2))), ordering=(2, 1))"
+    )
+    assert len({word, parse_word("2: s1"), link, parse_link("3: t1 t2 | o = 2 1")}) == 2
+    with pytest.raises(AttributeError, match="cannot assign to field 'strands'"):
+        word.strands = 3
+    with pytest.raises(AttributeError):
+        link.ordering = (1, 2)
+    with pytest.raises(AttributeError):
+        del word.letters
+    with pytest.raises(AttributeError):
+        word.extra = 1
+    assert pickle.loads(pickle.dumps(link)) == link
+    assert copy.deepcopy(word) == word
 
 
 # -- closure components ----------------------------------------------------

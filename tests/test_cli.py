@@ -188,6 +188,23 @@ def test_trace_depth_does_not_grow_with_the_strands(capsys):
     )
 
 
+ORDERED_OVER_BUDGET = (
+    "12: t9 s6^-1 t8 s9^-1 s8 t9 s11^-1 t4 s5^-1 s5 s11^-1 s6^-1 s7^-1 s8^-1"
+    " t6 t8 t3 t6 t3 s10 s3^-1 s8^-1 t6 s9^-1"
+)
+
+
+def test_ordered_resolution_passes_share_one_budget(capsys):
+    # Its graded pass stays within MAX_WORK, and so does each of its 1,024
+    # resolution passes; together they would make about 4.9 M terms.
+    assert run(capsys, "invariant", ORDERED_OVER_BUDGET)[0] == 0
+    code, out, err = run(capsys, "invariant", "--ordered", ORDERED_OVER_BUDGET)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"bound exceeded: the resolution passes exceed the bound of {skeinforge.skein.MAX_CUBE_WORK} terms\n"
+    )
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "homfly", "2: t1")
     assert code == 4 and "precondition" in err
@@ -398,8 +415,15 @@ def test_version_flag(capsys):
 
 def test_import_leaves_out_multiprocessing():
     # A fresh interpreter: modules imported by other tests must not count.
+    # Answering homfly loads neither the check suites, nor the reference
+    # evaluator, nor dataclasses (which pulls in inspect, ast and dis).
     src = str(Path(skeinforge.__file__).resolve().parents[1])
-    probe = "import sys, skeinforge.cli; print('multiprocessing' in sys.modules)"
+    probe = (
+        "import sys, skeinforge.cli\n"
+        "assert skeinforge.cli.main(['homfly', '1:']) == 0\n"
+        "absent = ('multiprocessing', 'skeinforge.checks', 'skeinforge.oracle', 'dataclasses')\n"
+        "print([name for name in absent if name in sys.modules])\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -407,4 +431,53 @@ def test_import_leaves_out_multiprocessing():
         text=True,
         check=True,
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "1\n[]\n"
+
+
+def test_lazy_names_are_the_modules_own():
+    from skeinforge import checks, oracle
+
+    for name in ("SUITE_NAMES", "SuiteReport", "run_suite", "run_suites"):
+        assert getattr(skeinforge, name) is getattr(checks, name)
+    from skeinforge import SUITE_NAMES, homfly_reference
+
+    assert SUITE_NAMES is checks.SUITE_NAMES
+    assert homfly_reference is oracle.homfly_reference
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        skeinforge.no_such_name
+    with pytest.raises(ImportError):
+        from skeinforge import no_such_name  # noqa: F401
+
+
+def test_check_choices_are_the_suites():
+    from skeinforge import checks
+
+    assert cli._SUITE_NAMES == tuple(checks._SUITES) + ("all",)
+
+
+CHECK_USAGE = """\
+usage: skeinforge check [-h] [--json] [--seed S]
+                        {skein,markov,star,lemma22,ordering,specialize,oracle,all}
+"""
+
+
+def test_check_help_and_bad_suite_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "check", "--help")
+    assert (code, err) == (0, "")
+    assert out == CHECK_USAGE + """
+positional arguments:
+  {skein,markov,star,lemma22,ordering,specialize,oracle,all}
+                        suite name or 'all'
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit JSON instead of text
+  --seed S              seed for check suites
+"""
+    code, out, err = run(capsys, "check", "bogus")
+    assert (code, out) == (2, "")
+    assert err == CHECK_USAGE + (
+        "skeinforge check: error: argument suite: invalid choice: 'bogus' (choose from "
+        "'skein', 'markov', 'star', 'lemma22', 'ordering', 'specialize', 'oracle', 'all')\n"
+    )

@@ -30,6 +30,7 @@ from skeinforge import (
     solve_coordinates,
     star,
 )
+from skeinforge import skein
 from skeinforge.braid import random_word
 from skeinforge.skein import _weight_kernel
 
@@ -93,6 +94,19 @@ def test_eval_vector_bounds():
     with pytest.raises(BoundError):
         eval_vector(many, R)
     assert len(eval_vector(many, R, max_sing=11)) == 2**11
+
+
+@pytest.mark.parametrize("ring", [R, CONWAY, gf(5)])
+def test_eval_vector_counts_work_over_all_passes(monkeypatch, ring):
+    # The 32 resolution passes share one count: 1,115 terms in act, the
+    # passes and the trace expansions together.
+    link = parse_link("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3")
+    monkeypatch.setattr(skein, "MAX_CUBE_WORK", 1_115)
+    values = eval_vector(link, ring)
+    assert values == {bits: homfly(resolve_all(link, bits), ring) for bits in all_patterns(5)}
+    monkeypatch.setattr(skein, "MAX_CUBE_WORK", 1_114)
+    with pytest.raises(BoundError, match="^the resolution passes exceed the bound of 1114 terms$"):
+        eval_vector(link, ring)
 
 
 # -- coordinate solving -------------------------------------------------------
