@@ -10,7 +10,6 @@ parse error, 3 bound exceeded, 4 precondition violated.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -150,6 +149,8 @@ def _cmd_invariant(args) -> int:
     # above came from the engine's d + 1 weight sums.
     element = invariant_ordered(link, ring, **bounds) if args.ordered else None
     if args.json:
+        import json
+
         print(json.dumps(_payload(link.d, sorted(poly.coeffs.items()), element)))
     else:
         print(poly)
@@ -163,6 +164,8 @@ def _cmd_homfly(args) -> int:
     word = parse_link(args.word).word
     value = homfly(word, ring, max_crossings=args.max_crossings)
     if args.json:
+        import json
+
         # Unlike an invariant's, this one coefficient is listed even when zero.
         print(json.dumps(_payload(0, [((0, 0), ring.scalar(value))])))
     else:
@@ -175,6 +178,8 @@ def _cmd_check(args) -> int:
 
     reports = run_suites([args.suite], args.seed)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 [

@@ -41,7 +41,12 @@ that product expanded with ``act``.  Trace values are lists of
 for one call (or in the caller's ``cache``, which also keeps its ring
 under the key None), so it holds at most 1! + ... + n! entries.  W
 determines w and its length (its largest digit is n - 1), so
-permutations of different strand counts never share an entry.
+permutations of different strand counts never share an entry.  The
+table is filled one strand level at a time: the level's missing
+permutations are expanded as one state, each labelled by its index in
+the grade field (0 in every expansion; ``act`` never reads it), so
+those with the same k share one ``act`` per letter, and one
+``contract`` gives every value of the level, split by label.
 
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
@@ -89,6 +94,11 @@ _EXPS = _ONE_G - 1
 _LOW = (1 << _OW) - 1
 _DIGIT = (1 << _WIDTH) - 1
 _MAX_GRADE = (1 << (_OW - _OG)) - 1
+# The trace table fill: permutations expanded together, each labelled in
+# the grade field, and the mean value length on the level below past
+# which each permutation is contracted on its own.
+_LABELS = _MAX_GRADE + 1
+_RELABEL = 16
 
 
 def clear_cache() -> None:
@@ -261,40 +271,73 @@ class _Pass:
         """Put the Ocneanu trace of each T_w of the state, w in S_n, in the table.
 
         The trace is normalized so the one-strand closure is 1.  Missing
-        permutations are expanded one strand level at a time and their
-        values filled in from one strand up, so no call nests per strand.
+        permutations are expanded one strand level at a time, each
+        labelled by its index in the grade field, which is 0 in every
+        expansion and which ``act`` never reads.  Those that take the
+        same letters share one ``act`` per letter, and one ``contract``
+        per level (per chunk of at most _LABELS) gives all the level's
+        values: in its output, key >> _OG is the label and key & _EXPS
+        the term.  Values are filled in from one strand up, so no call
+        nests per strand.  Once the level below has values of more than
+        _RELABEL terms on average, stripping the label from every output
+        term costs more than the calls it saves, and each permutation of
+        the level is contracted on its own.
         """
         table = self.table
         levels = []
         todo = {key >> _OW for key in state}
         while n > 1 and todo:
-            level, below = [], set()
-            for v in todo:
-                if v in table:
-                    continue
-                # v = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
-                k = n - 1
-                while v >> _WIDTH * k & _DIGIT != n - 1:
-                    k -= 1
-                low = _WIDTH * k
-                u = (v & ((1 << low) - 1)) | (v >> (low + _WIDTH)) << low
-                # tau_n(T_v) = tau_(n-1)(T_u g_(n-2) ... g_(k+1)), which is
-                # delta tau_(n-1)(T_u) when v fixes n (k = n - 1, no g).
-                root = u << _OW | _ZERO
-                expanded = {root + s: c for s, c in self.delta} if k == n - 1 else {root: 1}
-                for i in range(n - 2, k, -1):
-                    expanded = self.act(expanded, POS, i)
-                level.append((v, expanded))
-                for key in expanded:
-                    below.add(key >> _OW)
+            missing = [v for v in todo if v not in table]
+            below: set = set()
+            for at in range(0, len(missing), _LABELS):
+                chunk = missing[at : at + _LABELS]
+                expanded = self._expand(chunk, n)
+                below.update(key >> _OW for key in expanded)
+                levels.append((chunk, expanded))
             n -= 1
-            levels.append(level)
             todo = below
         for v in todo:  # the identity of S_1
             table[v] = [(_ZERO, 1)]
-        for level in reversed(levels):
-            for v, expanded in level:
-                table[v] = list(self.contract(expanded).items())
+        size = 1  # the mean value length on the level filled last
+        for chunk, expanded in reversed(levels):
+            if size > _RELABEL:
+                parts: list = [{} for _ in chunk]
+                for key, c in expanded.items():
+                    label = key >> _OG & _MAX_GRADE
+                    parts[label][key - (label << _OG)] = c
+                values = [list(self.contract(part).items()) for part in parts]
+            else:
+                values = [[] for _ in chunk]
+                for key, c in self.contract(expanded).items():
+                    values[key >> _OG].append((key & _EXPS, c))
+            table.update(zip(chunk, values))
+            size = sum(map(len, values)) / len(chunk)
+
+    def _expand(self, chunk: list, n: int) -> dict:
+        """The trace expansions of the permutations of ``chunk``, in S_n, as one state labelled by index."""
+        groups: dict = {}
+        for label, v in enumerate(chunk):
+            # v = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
+            k = n - 1
+            while v >> _WIDTH * k & _DIGIT != n - 1:
+                k -= 1
+            low = _WIDTH * k
+            u = (v & ((1 << low) - 1)) | (v >> (low + _WIDTH)) << low
+            root = u << _OW | label << _OG | _ZERO
+            group = groups.setdefault(k, {})
+            # tau_n(T_v) = tau_(n-1)(T_u g_(n-2) ... g_(k+1)), which is
+            # delta tau_(n-1)(T_u) when v fixes n (k = n - 1, no g).
+            if k == n - 1:
+                for s, c in self.delta:
+                    group[root + s] = c
+            else:
+                group[root] = 1
+        expanded: dict = {}
+        for k, group in groups.items():
+            for i in range(n - 2, k, -1):
+                group = self.act(group, POS, i)
+            expanded.update(group)
+        return expanded
 
 
 # -- word simplification ----------------------------------------------

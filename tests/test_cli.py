@@ -416,12 +416,13 @@ def test_version_flag(capsys):
 def test_import_leaves_out_multiprocessing():
     # A fresh interpreter: modules imported by other tests must not count.
     # Answering homfly loads neither the check suites, nor the reference
-    # evaluator, nor dataclasses (which pulls in inspect, ast and dis).
+    # evaluator, nor dataclasses (which pulls in inspect, ast and dis),
+    # nor json, which only --json output reads.
     src = str(Path(skeinforge.__file__).resolve().parents[1])
     probe = (
         "import sys, skeinforge.cli\n"
         "assert skeinforge.cli.main(['homfly', '1:']) == 0\n"
-        "absent = ('multiprocessing', 'skeinforge.checks', 'skeinforge.oracle', 'dataclasses')\n"
+        "absent = ('multiprocessing', 'skeinforge.checks', 'skeinforge.oracle', 'dataclasses', 'json')\n"
         "print([name for name in absent if name in sys.modules])\n"
     )
     result = subprocess.run(

@@ -299,6 +299,82 @@ def test_work_count_of_the_13_strand_pin(monkeypatch):
         homfly(pin, R)
 
 
+STRUCTURED = parse_word("5: " + " ".join(["s1 s2 s3 s4"] * 6))
+D10 = parse_link("5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1")
+
+
+def packed_run(word, ring):
+    run = engine._Pass(ring, {})
+    return engine._packed_sums(word, ring, run), run
+
+
+def test_trace_fill_batches_each_level(monkeypatch):
+    # One expansion and contraction per permutation would make 164 act
+    # and 152 contract calls in the fill of (s1 s2 s3 s4)^6.  Batched, a
+    # level on n strands makes one act per letter of each group of
+    # permutations, at most (n - 1)(n - 2)/2, and one contract.
+    fill = []
+    inside = []
+
+    def spy(name):
+        method = getattr(engine._Pass, name)
+
+        def wrapper(self, *args):
+            if name == "tabulate":
+                inside.append(True)
+                try:
+                    return method(self, *args)
+                finally:
+                    inside.pop()
+            if inside:
+                fill.append((name, args[-1]))
+            return method(self, *args)
+
+        monkeypatch.setattr(engine._Pass, name, wrapper)
+
+    for name in ("tabulate", "_expand", "act", "contract"):
+        spy(name)
+    _, run = packed_run(STRUCTURED, R)
+    assert (run.work, len(run.table)) == (2_691, 153)
+    names = [name for name, _ in fill]
+    assert (names.count("act"), names.count("contract")) == (10, 4)
+    levels = [n for name, n in fill if name == "_expand"]
+    assert levels == [5, 4, 3, 2]
+    acts = dict.fromkeys(levels, 0)
+    for name, n in fill:
+        if name == "_expand":
+            level = n
+        elif name == "act":
+            acts[level] += 1
+    assert all(acts[n] <= (n - 1) * (n - 2) // 2 for n in levels), acts
+
+
+def test_work_count_of_the_d10_graded_pass():
+    # The graded pass of the d = 10 word, its trace expansions included.
+    _, run = packed_run(D10.word, R)
+    assert run.work == 19_623
+
+
+@pytest.mark.parametrize(
+    "patches", [{"_LABELS": 2}, {"_LABELS": 3}, {"_LABELS": 3, "_RELABEL": 0}, {"_RELABEL": 0}]
+)
+def test_chunked_and_per_permutation_fills_match(monkeypatch, patches):
+    # No pinned input fills a level of more than 65,536 permutations or
+    # has long enough trace values to contract each permutation on its
+    # own; forced, both give the same values and work counts.
+    rng = random.Random(919)
+    words = [parse_word("13: " + " ".join(f"s{i} s{i}" for i in range(1, 13)))]
+    words += [wide_singular(rng).word for _ in range(6)]
+    for ring in (R, CONWAY, gf(5)):
+        expected = [packed_run(word, ring) for word in words]
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                patch.setattr(engine, name, value)
+            for word, (sums, run) in zip(words, expected):
+                got, got_run = packed_run(word, ring)
+                assert (got, got_run.work, got_run.table) == (sums, run.work, run.table), word
+
+
 def test_shared_table_across_strand_counts():
     # The resolutions simplify to 2, 3, 4 and 5 strands, so one table
     # holds packed permutations of four lengths; no two may collide.
