@@ -55,7 +55,13 @@ Y^g part of the pass, traced, is the sum S_g of the values of the
 resolutions with g ones.  Before the pass, words are freely reduced,
 conjugation-cancelled at the seam, stripped of untouched strands (a
 delta factor each), and destabilized at the top and bottom strand;
-singular letters never cancel and are never kinks.
+singular letters never cancel and are never kinks.  The trace is
+cyclic, so a word with singular letters is then rotated to start where
+a cheap estimate of the pass's support is least (``_cheapest_rotation``):
+only the word itself and the starts just after a singular letter are
+scored.  Classical words, and so ``homfly`` and the resolution passes of
+``eval_vector``, start where they stand: scoring all their rotations
+costs more than it saves on the short words they mostly are.
 """
 
 from __future__ import annotations
@@ -77,9 +83,11 @@ DEFAULT_MAX_CROSSINGS = 24
 # "2048: s1" answers in about 2 s: each free strand costs a delta factor.
 MAX_STRANDS = 2048
 # State terms that one pass (one weight_sums call) may produce, in the
-# pass and in trace expansions together.  The pinned corpora, the check
-# suites and the tests peak at 19,623 (the d = 10 word); the widest
-# 24-letter words run past this within a fraction of a second.
+# pass and in trace expansions together.  The pinned corpora and the check
+# suites peak at 13,077 (the d = 10 word, 19,623 unrotated), the tests at
+# 166,963 (the 12-strand d = 10 word of the shared cube budget test,
+# 149,164 unrotated); the widest 24-letter words run past this within a
+# fraction of a second.
 MAX_WORK = 250_000
 
 # The packed key: exponents in two biased 32-bit fields, then a 16-bit
@@ -178,6 +186,8 @@ def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) 
     if run is None:
         run = _Pass(ring, {})
     n, letters, delta_pow = _simplify(word.strands, word.letters)
+    if d:
+        letters = _cheapest_rotation(n, letters)
     identity = sum(k << _WIDTH * k for k in range(n))
     state = {identity << _OW | _ZERO: 1}
     for kind, i in letters:
@@ -427,3 +437,39 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
         if edge == 1:
             word = [(kind, i - 1) for kind, i in word]
         n -= 1
+
+
+def _cheapest_rotation(n: int, letters: tuple) -> tuple:
+    """The rotation of a closed word with singular letters that the pass should start at.
+
+    The candidates are the word itself and each rotation starting just
+    after a singular letter.  A candidate's score follows one
+    permutation from the identity: a singular letter, g_i at a descent
+    or g_i^(-1) at an ascent splits a term in two and doubles the
+    estimated support, any other letter moves the permutation to w s_i,
+    and the score adds the estimate after each letter.  Scoring a
+    candidate stops once it reaches the best score so far, and ties go
+    to the earliest start.  After ``_simplify`` every strand carries a
+    letter, so the d + 1 candidates cost O(d L) for L letters.
+    """
+    size = len(letters)
+    starts = [q + 1 for q, (kind, _) in enumerate(letters[:-1]) if kind == SING]
+    if not starts:
+        return letters
+    loop = letters + letters
+    best, best_start = float("inf"), 0
+    for start in [0, *starts]:
+        w = list(range(n + 1))
+        estimate = 1
+        score = 0
+        for kind, i in loop[start : start + size]:
+            if kind == SING or (w[i] > w[i + 1]) == (kind == POS):
+                estimate += estimate
+            else:
+                w[i], w[i + 1] = w[i + 1], w[i]
+            score += estimate
+            if score >= best:
+                break
+        else:
+            best, best_start = score, start
+    return loop[best_start : best_start + size]

@@ -350,9 +350,37 @@ def test_trace_fill_batches_each_level(monkeypatch):
 
 
 def test_work_count_of_the_d10_graded_pass():
-    # The graded pass of the d = 10 word, its trace expansions included.
+    # The graded pass of the d = 10 word, its trace expansions included,
+    # started at its cheapest rotation (19,623 terms at rotation 0).
     _, run = packed_run(D10.word, R)
-    assert run.work == 19_623
+    assert run.work == 13_077
+
+
+def test_every_rotation_gives_the_same_weight_sums(monkeypatch):
+    # The trace is cyclic, so the graded pass may start anywhere; each
+    # rotation of a simplified singular word, run as it stands, gives
+    # the sums of the rotation _packed_sums picks.
+    rng = random.Random(2417)
+    words = [D10.word]
+    for _ in range(4):
+        d = rng.randint(1, 4)
+        words.append(random_word(rng, strands=rng.randint(3, 6), classical=14 - d, sing=d).word)
+    simplified = []
+    for word in words:
+        n, letters, _ = engine._simplify(word.strands, word.letters)
+        assert n > 1 and any(kind == SING for kind, _ in letters)
+        simplified.append(SingularBraidWord(n, letters))
+    d10 = simplified[0]
+    assert engine._cheapest_rotation(d10.strands, d10.letters) != d10.letters
+    for ring in (R, CONWAY, gf(5)):
+        expected = [engine._packed_sums(word, ring) for word in simplified]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_cheapest_rotation", lambda n, letters: letters)
+            for word, sums in zip(simplified, expected):
+                letters = word.letters
+                for start in range(len(letters)):
+                    rotated = SingularBraidWord(word.strands, letters[start:] + letters[:start])
+                    assert engine._packed_sums(rotated, ring) == sums, (word, start)
 
 
 @pytest.mark.parametrize(

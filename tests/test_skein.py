@@ -109,6 +109,24 @@ def test_eval_vector_counts_work_over_all_passes(monkeypatch, ring):
         eval_vector(link, ring)
 
 
+@pytest.mark.parametrize("ring, work", [(R, 262_431), (CONWAY, 262_431), (gf(5), 262_394)])
+def test_eval_vector_work_count_of_the_d10_word(monkeypatch, ring, work):
+    # The 1,024 resolution passes of the d = 10 word share one count.  The
+    # resolutions are classical, so each pass starts at rotation 0; only
+    # the graded pass of a singular word is rotated.
+    runs = []
+
+    class Counted(skein._Pass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(skein, "_Pass", Counted)
+    link = parse_link("5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1")
+    eval_vector(link, ring)
+    assert [run.work for run in runs] == [work]
+
+
 # -- coordinate solving -------------------------------------------------------
 
 
