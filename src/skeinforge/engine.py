@@ -213,12 +213,17 @@ def _decode(packed: dict) -> dict:
     return {((e >> _F) - _BIAS, (e & mask) - _BIAS): c for e, c in packed.items()}
 
 
-def _times(terms, shifts: list) -> dict:
-    """Packed (exponents, c) terms times (packed shift, coefficient) pairs, unreduced."""
-    acc: dict = {}
+def _times(terms, shifts: list, acc: dict | None = None) -> dict:
+    """Packed (exponents, c) terms times (packed shift, coefficient) pairs, unreduced.
+
+    The product is added into ``acc``, a new dict by default.  ``terms``
+    is read once per shift, so it must be a dict view, not an iterator.
+    """
+    if acc is None:
+        acc = {}
     get = acc.get
-    for e, c in terms:
-        for s, f in shifts:
+    for s, f in shifts:
+        for e, c in terms:
             key = e + s
             acc[key] = get(key, 0) + c * f
     return acc

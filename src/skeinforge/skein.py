@@ -35,13 +35,16 @@ projection of the solved coordinates, term for term.  ``invariant``
 computes the polynomial this way, with or without ``--ordered``, and
 takes the weight sums from the engine's graded pass (the packed form
 of ``engine.weight_sums``), which never forms the 2^d resolutions.
-Expanding both binomials, [z^j] of row w is an integer combination of
-the d + 1 powers c^a, so the kernel is integer binomials
-(``_weight_kernel``) and the sum runs on flat integer terms keyed by
-the engine's packed exponents: for each j, sum_a c^a T_a by Horner in
-c, with T_a an integer combination of the S_w, each S_w multiplied once
-by the monomial B^d, which adds a constant to every key.  Exponents are
-decoded once per output coefficient.
+The sum is one homogeneous Horner pass in v = 1 + c z over the d + 1
+z-coefficients H[0..d], as flat integer terms keyed by the engine's
+packed exponents (``_unordered_numerators``): for w = d down to 0, H
+becomes H v plus S_w (c + z)^(d-w).  Times v, H[i] gains c H[i-1], top
+down in place; the second term adds C(d-w, i) c^(d-w-i) S_w to H[i],
+with the powers c^k S_w built as they are added.  That is d(d+1)
+products by the two-term c, half of them on the small S_w, and
+(d+1)(d+2)/2 binomial-scaled additions, with no binomial table.  Each
+S_w is multiplied once by the monomial B^d, which adds a constant to
+every key, and exponents are decoded once per output coefficient.
 ``eval_vector`` lists the resolution values for ``--ordered``;
 ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
@@ -397,22 +400,6 @@ def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
     return SkeinPolynomial(element.ring, out)
 
 
-def _weight_kernel(d: int) -> list[list[list[tuple[int, int]]]]:
-    """Integer form of the rows [z^j] (c + z)^(d - w) (1 + c z)^w, by j and a.
-
-    Expanding both binomials, [z^j] of row w is the sum over i of
-    C(d - w, i) C(w, j - i) c^a with a = d - w - 2i + j.  Entry
-    [j][a] lists the pairs (w, C(d - w, i) C(w, j - i)) of that sum, so
-    the rows need no ring at all.
-    """
-    kernel = [[[] for _ in range(d + 1)] for _ in range(d + 1)]
-    for w in range(d + 1):
-        for j in range(d + 1):
-            for i in range(max(0, j - w), min(d - w, j) + 1):
-                kernel[j][d - w - 2 * i + j].append((w, comb(d - w, i) * comb(w, j - i)))
-    return kernel
-
-
 def invariant(
     link: OrderedSingularLink,
     ring: Ring,
@@ -428,9 +415,9 @@ def invariant(
         B^d D^(-d) sum_w [z^j] (c + z)^(d-w) (1 + c z)^w S_w,
 
     where c = -delta and B = -x^2, as M(delta)^(-1) = (B / D) M(-delta).
-    The kernel is integer binomials; per j the sum runs by Horner in c
-    on flat integer terms keyed by packed exponents, so it costs O(d^2)
-    products by the two-term c and O(d^3) integer-scaled additions of
+    The sum is one Horner pass in v = 1 + c z on flat integer terms keyed
+    by packed exponents (``_unordered_numerators``), so it costs O(d^2)
+    products by the two-term c and O(d^2) binomial-scaled additions of
     weight sums (each multiplied once by the monomial B^d), then d + 1
     row-wise normal forms by D.  It is exact: the z^j coefficient of that
     product is the sum, over the coordinates of weight j, of the c/1
@@ -445,23 +432,36 @@ def invariant(
     """
     _check_bounds(link, max_sing, max_crossings)
     d = link.d
-    # B^d multiplies each weight sum once, as the sums are smaller than
-    # the d + 1 accumulators.
+    nums = _unordered_numerators(_packed_sums(link.word, ring), ring)
+    return SkeinPolynomial(ring, {
+        (d - j, j): ring.scalar(LaurentPoly._raw(ring, _decode(num)), d) for j, num in enumerate(nums)
+    })
+
+
+def _unordered_numerators(sums: list[dict], ring: Ring) -> list[dict]:
+    """B^d [z^j] sum_w (c + z)^(d - w) (1 + c z)^w S_w for j = 0..d, c = -delta.
+
+    ``sums`` are the packed weight sums S_0..S_d; the numerators come back
+    packed and canonical.  One Horner pass in v = 1 + c z, from w = d
+    down: H times v (H[i] gains c H[i - 1], top down), plus
+    S_w (c + z)^(d - w), whose c^k S_w are built as they are added.
+    """
+    d = len(sums) - 1
     b_pow = _pack(ring.monomial((-1) ** d, 0, 2 * d))
-    sums = [_times(sum_w.items(), b_pow).items() for sum_w in _packed_sums(link.word, ring)]
-    p = ring.p
-    neg_delta = _pack(-ring.delta)
-    coeffs = {}
-    for j, by_power in enumerate(_weight_kernel(d)):
-        # sum_a c^a T_a, T_a = sum_w n S_w, by Horner in c = -delta.  Keys
-        # are packed exponents, so each product by a term of c is a shift.
-        acc: dict = {}
-        for a in range(d, -1, -1):
-            acc = _times(acc.items(), neg_delta)
-            get = acc.get
-            for w, n in by_power[a]:
-                for e, s in sums[w]:
-                    acc[e] = get(e, 0) + n * s
-        num = LaurentPoly._raw(ring, _decode(_canonical(acc, p)))
-        coeffs[(d - j, j)] = ring.scalar(num, d)
-    return SkeinPolynomial(ring, coeffs)
+    c = _pack(-ring.delta)
+    h: list[dict] = [{} for _ in range(d + 1)]
+    for m in range(d + 1):  # m = d - w
+        for i in range(m, 0, -1):
+            _times(h[i - 1].items(), c, h[i])
+        # B^d multiplies each weight sum once, as the sums are smaller
+        # than the d + 1 accumulators.
+        power = _times(sums[d - m].items(), b_pow)
+        for i in range(m, -1, -1):
+            n = comb(m, i)
+            h_i = h[i]
+            get = h_i.get
+            for e, f in power.items():
+                h_i[e] = get(e, 0) + n * f
+            if i:
+                power = _times(power.items(), c)
+    return [_canonical(h_i, ring.p) for h_i in h]

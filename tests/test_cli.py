@@ -350,6 +350,10 @@ PINNED_INVARIANT_DIGESTS = [
     (ROADMAP_WORD, "generic", (), "a68dfc517656314aa89d892950e6afcb771f7f086035aae033102b5136198138"),
     (ROADMAP_WORD, "conway", (), "f1255c3220fb402d9e8f864c735a8f32a4bc5558240402af0082daea7afb7f8e"),
     (ROADMAP_WORD, "gf:5", (), "11c64949303e03abeab28b64a7d64cabe807f2e216f30f6cd5beb89239aa3d5e"),
+    # The same word over GF(2) and GF(3), made by the per-j Horner in c
+    # over integer binomial rows.
+    (ROADMAP_WORD, "gf:2", (), "861c4e8087328d00a2f4bff4439625618beeb667ac81355e96eb754040df2907"),
+    (ROADMAP_WORD, "gf:3", (), "4c3f205e6b22b4e68c8718d6de80799090cd6ab4743fdde3d32a77da32f03ed9"),
     # Its --ordered forms, made by the axis pass on LaurentPoly values.
     (ROADMAP_WORD, "generic", ("--ordered",), "93af4ba1d5b6d51b3958df4388d3c5e24f577dc0b80416f7f038e71709a1fe97"),
     (ROADMAP_WORD, "conway", ("--ordered",), "c94859a2d41ce8fb46903dd207227735d4da6873d88e594c25a98632802af9b2"),
