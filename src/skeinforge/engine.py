@@ -12,7 +12,7 @@ permutations in one-line notation.  With v = w s_i, ``_Pass.act`` applies
     otherwise:      T_w g_i = t x T_w + t^2 T_v,
                     T_w g_i^(-1) = T_v,
 
-whose four monomials are the skein steps interned on ``Ring``.  Every
+whose four monomials are the skein steps of ``_Pass``.  Every
 term of the state is one int mapped to its integer coefficient,
 
     key = W << _OW | g << _OG | (e_t + _BIAS) << _F | (e_x + _BIAS),
@@ -46,8 +46,9 @@ table is filled one strand level at a time: the level's missing
 permutations are expanded as one state, each labelled by its index in
 the grade field (0 in every expansion; ``act`` never reads it), so
 those with the same k share one ``act`` per letter, and one
-``contract`` gives every value of the level, split by label (one per
-permutation where the values below are long; see _RELABEL).
+``contract`` gives every value of the level.  ``contract`` splits its
+sum by the grade field, so the same call gives the graded pass its
+weight sums and the fill its values by label.
 
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
@@ -103,17 +104,9 @@ _EXPS = _ONE_G - 1
 _LOW = (1 << _OW) - 1
 _DIGIT = (1 << _WIDTH) - 1
 _MAX_GRADE = (1 << (_OW - _OG)) - 1
-# The trace table fill: permutations expanded together, each labelled in
-# the grade field, and the mean value length on the level below past
-# which each permutation is contracted on its own.  Timed per level on
-# about 2,700 levels (two sweeps s1 ... s(m-1) on 4-512 strands, powers
-# (s1 ... s(m-1))^k on 6-14 strands, random words on 4-12 strands), one
-# contract per level wins on most levels below 10 terms per value and
-# one per permutation on most above 12.  Summed over those levels, the
-# fill takes at most 0.15 % more than at the best bound, against 2.6 %
-# more at a bound of 16 (2-core host, Python 3.11.7).
+# The trace table fill labels each permutation it expands together in
+# the 16-bit grade field, so one expansion takes at most this many.
 _LABELS = _MAX_GRADE + 1
-_RELABEL = 12
 
 
 def clear_cache() -> None:
@@ -155,12 +148,6 @@ def _check_crossings(word: SingularBraidWord, max_crossings: int) -> None:
         raise BoundError(f"{len(word.letters)} crossings exceeds the bound {max_crossings}")
 
 
-def _check_strands(word: SingularBraidWord) -> None:
-    """Refuse a declared strand count above MAX_STRANDS before any per-strand work."""
-    if word.strands > MAX_STRANDS:
-        raise BoundError(f"{word.strands} strands exceeds the bound {MAX_STRANDS}")
-
-
 def weight_sums(word: SingularBraidWord, ring: Ring) -> list[LaurentPoly]:
     """[S_0, ..., S_d]: S_g sums the values of the resolutions with g negative crossings.
 
@@ -179,7 +166,9 @@ def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) 
     trace table and its work count carry over.  By default the call has
     a pass of its own.
     """
-    _check_strands(word)
+    # Refused before any per-strand work.
+    if word.strands > MAX_STRANDS:
+        raise BoundError(f"{word.strands} strands exceeds the bound {MAX_STRANDS}")
     d = word.sing_count
     if d > _MAX_GRADE:
         raise BoundError(f"{d} singular crossings exceeds the bound {_MAX_GRADE}")
@@ -193,9 +182,7 @@ def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) 
     for kind, i in letters:
         state = run.act(state, kind, i)
     run.tabulate(state, n)
-    sums: list[dict] = [{} for _ in range(d + 1)]
-    for key, c in run.contract(state).items():
-        sums[key >> _OG][key & _EXPS] = c
+    sums = run.contract(state, d + 1)
     if delta_pow:
         factor = _pack(ring.delta_pow(delta_pow))
         sums = [_canonical(_times(s.items(), factor), ring.p) for s in sums]
@@ -241,8 +228,10 @@ class _Pass:
 
     def __init__(self, ring: Ring, table: dict, limit: int | None = None, what: str = "the Hecke pass exceeds"):
         self.p = ring.p
-        monomials = (ring.smooth_pos, ring.switch_pos, ring.smooth_neg, ring.switch_neg)
-        self.steps = tuple(pair for m in monomials for pair in _pack(m))
+        # The skein steps: smoothing and switching a positive crossing,
+        # t x and t^2, then a negative one, -t^(-1) x and t^(-2).
+        monomials = ((1, 1, 1), (1, 2, 0), (-1, -1, 1), (1, -2, 0))
+        self.steps = tuple(pair for m in monomials for pair in _pack(ring.monomial(*m)))
         self.delta = _pack(ring.delta)
         self.table = table
         self.work = 0
@@ -277,8 +266,13 @@ class _Pass:
             raise BoundError(self.refusal)
         return _canonical(out, self.p)
 
-    def contract(self, state: dict) -> dict:
-        """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, packed; each w is tabulated."""
+    def contract(self, state: dict, parts: int) -> list[dict]:
+        """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, split by g; each w is tabulated.
+
+        Returns ``parts`` canonical {packed exponents: c} dicts, the g-th
+        holding the terms whose grade field (the power of Y, or the fill's
+        label) is g.
+        """
         table = self.table
         acc: dict = {}
         get = acc.get
@@ -287,7 +281,13 @@ class _Pass:
             for s, f in table[key >> _OW]:
                 k = base + s
                 acc[k] = get(k, 0) + c * f
-        return _canonical(acc, self.p)
+        p = self.p
+        og, exps = _OG, _EXPS
+        split: list[dict] = [{} for _ in range(parts)]
+        for k, c in acc.items():
+            if c := c % p if p else c:
+                split[k >> og][k & exps] = c
+        return split
 
     def tabulate(self, state: dict, n: int) -> None:
         """Put the Ocneanu trace of each T_w of the state, w in S_n, in the table.
@@ -298,13 +298,8 @@ class _Pass:
         expansion and which ``act`` never reads.  Those that take the
         same letters share one ``act`` per letter, and one ``contract``
         per level (per chunk of at most _LABELS) gives all the level's
-        values: in its output, key >> _OG is the label and key & _EXPS
-        the term.  Values are filled in from one strand up, so no call
-        nests per strand.  Where the values that a level's expansions
-        reach on the level below average more than _RELABEL terms,
-        stripping the label from every output term costs more than the
-        calls it saves, and each permutation of the level is contracted
-        on its own.
+        values, split by label.  Values are filled in from one strand
+        up, so no call nests per strand.
         """
         table = self.table
         levels = []
@@ -316,24 +311,13 @@ class _Pass:
                 for chunk in (missing[at : at + _LABELS] for at in range(0, len(missing), _LABELS))
             ]
             todo = {key >> _OW for _, expanded in chunks for key in expanded}
-            levels.append((chunks, todo))
+            levels.append(chunks)
             n -= 1
         for v in todo:  # the identity of S_1
             table[v] = [(_ZERO, 1)]
-        for chunks, below in reversed(levels):
-            split = sum(len(table[u]) for u in below) > _RELABEL * len(below)
+        for chunks in reversed(levels):
             for chunk, expanded in chunks:
-                if split:
-                    parts: list = [{} for _ in chunk]
-                    for key, c in expanded.items():
-                        label = key >> _OG & _MAX_GRADE
-                        parts[label][key - (label << _OG)] = c
-                    values = [list(self.contract(part).items()) for part in parts]
-                else:
-                    values = [[] for _ in chunk]
-                    for key, c in self.contract(expanded).items():
-                        values[key >> _OG].append((key & _EXPS, c))
-                table.update(zip(chunk, values))
+                table.update(zip(chunk, [list(v.items()) for v in self.contract(expanded, len(chunk))]))
 
     def _expand(self, chunk: list, n: int) -> dict:
         """The trace expansions of the permutations of ``chunk``, in S_n, as one state labelled by index."""

@@ -69,24 +69,6 @@ def _first_under_first(n: int, letters: tuple) -> int | None:
     return None
 
 
-def _component_count(n: int, letters: tuple) -> int:
-    succ, _ = _passages(n, letters)
-    done: set[tuple] = set()
-    count = 0
-    for s in range(1, n + 1):
-        start = (s, 0)
-        if start in done:
-            continue
-        count += 1
-        arc = start
-        while True:
-            done.add(arc)
-            arc = succ[arc]
-            if arc == start:
-                break
-    return count
-
-
 def homfly_reference(word: SingularBraidWord, ring: Ring) -> LaurentPoly:
     """Full skein-tree expansion of the closure, with no shortcuts."""
     if not word.is_classical:
@@ -99,7 +81,7 @@ def homfly_reference(word: SingularBraidWord, ring: Ring) -> LaurentPoly:
     def expand(letters: tuple) -> LaurentPoly:
         k = _first_under_first(n, letters)
         if k is None:
-            return ring.delta_pow(_component_count(n, letters) - 1)
+            return ring.delta_pow(SingularBraidWord(n, letters).components() - 1)
         kind, i = letters[k]
         switched = letters[:k] + ((-kind, i),) + letters[k + 1 :]
         smoothed = letters[:k] + letters[k + 1 :]

@@ -287,14 +287,10 @@ class Ring:
     being a proof; a composite or larger modulus raises ``ValueError``.
 
     Interns the symbols t, x and their inverses, the two-component
-    unlink value delta = x^(-1)(t^(-1) - t), the localization
+    unlink value delta = x^(-1)(t^(-1) - t), and the localization
     denominator D, which makes the resolution matrix
     M(delta) = [[delta, 1], [1, delta]] invertible as
-    M(delta)^(-1) = (-x^2 / D) M(-delta), and the
-    skein-step monomials of the engine: switching a positive (negative)
-    crossing costs ``switch_pos`` = t^2 (``switch_neg`` = t^(-2)),
-    smoothing it ``smooth_pos`` = t x (``smooth_neg`` = -t^(-1) x), which
-    the engine reads as (de_t, de_x, coefficient) shifts once per call.
+    M(delta)^(-1) = (-x^2 / D) M(-delta).
     """
 
     __slots__ = (
@@ -309,10 +305,6 @@ class Ring:
         "x_inv",
         "delta",
         "denom",
-        "switch_pos",
-        "smooth_pos",
-        "switch_neg",
-        "smooth_neg",
         "scalar_zero",
         "scalar_one",
     )
@@ -352,10 +344,6 @@ class Ring:
         self.x_inv = self.monomial(1, 0, -1)
         self.delta = self.x_inv * (self.t_inv - self.t)
         self.denom = (self.t_inv - self.t - self.x) * (self.t_inv - self.t + self.x)
-        self.switch_pos = self.t * self.t
-        self.smooth_pos = self.t * self.x
-        self.switch_neg = self.t_inv * self.t_inv
-        self.smooth_neg = -(self.t_inv * self.x)
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)
         self.scalar_one = LocalizedScalar._make(self, self.one, 0)
 

@@ -58,7 +58,7 @@ from math import comb
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import (
-    DEFAULT_MAX_CROSSINGS, _check_crossings, _check_strands, _decode, _pack, _packed_sums, _Pass, _times,
+    DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _times,
 )
 from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _mul_terms, _same_ring
 
@@ -293,7 +293,6 @@ def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) 
     if link.d > max_sing:
         raise BoundError(f"{link.d} singular crossings exceeds the bound {max_sing}")
     _check_crossings(link.word, max_crossings)
-    _check_strands(link.word)
 
 
 def _axis_pass(ring: Ring, nums: list, d: int, c: LaurentPoly) -> list[LaurentPoly]:

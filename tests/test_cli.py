@@ -368,6 +368,29 @@ def test_invariant_output_pinned(capsys, word, ring, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+POWER_WORD = "10: " + " ".join(f"s{i}" for _ in range(3) for i in range(1, 10))
+SWEEP16_WORD = "16: " + " ".join(f"s{i}" for _ in range(2) for i in range(1, 16))
+
+# SHA-256 of homfly's stdout on two words whose trace fill reaches levels
+# of long values, made when such levels were contracted one permutation
+# at a time.
+PINNED_HOMFLY_DIGESTS = [
+    (POWER_WORD, "generic", "399fb2a6457ad795400a7c8f96ad597361a5aaf56ea0d9313fc1e2cf11ba989b"),
+    (POWER_WORD, "conway", "b158817b7a96df4fbec6b0255ac6569a5320b9fddac419b80297aeef3bf09ad8"),
+    (POWER_WORD, "gf:5", "a1f5171eb7168b7d99bdb561ec6f276a91adba961380abbd4672e40aa3272c11"),
+    (SWEEP16_WORD, "generic", "2203a5a7d6cb2de14aa229cb62bff2ec575835b6579ed8247dc37c6f4c211264"),
+    (SWEEP16_WORD, "conway", "062910bd3b5de08e23ad6723012fa7e61241b5195df20ee64d6994608eb1d0c6"),
+    (SWEEP16_WORD, "gf:5", "adb15024e8ece1363d4a80ad5bb0cb794600efd943687b1f825f98beb894ab7b"),
+]
+
+
+@pytest.mark.parametrize("word,ring,digest", PINNED_HOMFLY_DIGESTS)
+def test_homfly_output_pinned_on_long_trace_values(capsys, word, ring, digest):
+    code, out, _ = run(capsys, "homfly", "--ring", ring, "--max-crossings", "30", word)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- determinism ---------------------------------------------------------------
 
 

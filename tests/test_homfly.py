@@ -383,21 +383,18 @@ def test_every_rotation_gives_the_same_weight_sums(monkeypatch):
                     assert engine._packed_sums(rotated, ring) == sums, (word, start)
 
 
-@pytest.mark.parametrize(
-    "patches", [{"_LABELS": 2}, {"_LABELS": 3}, {"_LABELS": 3, "_RELABEL": 0}, {"_RELABEL": 0}]
-)
-def test_chunked_and_per_permutation_fills_match(monkeypatch, patches):
-    # No pinned input fills a level of more than 65,536 permutations or
-    # has long enough trace values to contract each permutation on its
-    # own; forced, both give the same values and work counts.
+@pytest.mark.parametrize("labels", [2, 3])
+def test_chunked_fill_matches(monkeypatch, labels):
+    # No pinned input fills a level of more than 65,536 permutations;
+    # forced into small chunks, the fill gives the same values and work
+    # counts.
     rng = random.Random(919)
     words = [parse_word("13: " + " ".join(f"s{i} s{i}" for i in range(1, 13)))]
     words += [wide_singular(rng).word for _ in range(6)]
     for ring in (R, CONWAY, gf(5)):
         expected = [packed_run(word, ring) for word in words]
         with monkeypatch.context() as patch:
-            for name, value in patches.items():
-                patch.setattr(engine, name, value)
+            patch.setattr(engine, "_LABELS", labels)
             for word, (sums, run) in zip(words, expected):
                 got, got_run = packed_run(word, ring)
                 assert (got, got_run.work, got_run.table) == (sums, run.work, run.table), word

@@ -97,6 +97,12 @@ def test_eval_vector_bounds():
     assert len(eval_vector(many, R, max_sing=11)) == 2**11
 
 
+def test_eval_vector_refuses_a_strand_count_above_the_bound():
+    # The engine's check refuses it, before any pass.
+    with pytest.raises(BoundError, match="^2049 strands exceeds the bound 2048$"):
+        eval_vector(parse_link("2049: t1 s1"), R)
+
+
 @pytest.mark.parametrize("ring", [R, CONWAY, gf(5)])
 def test_eval_vector_counts_work_over_all_passes(monkeypatch, ring):
     # The 32 resolution passes share one count: 1,115 terms in act, the
