@@ -22,10 +22,14 @@ below) and the two exponents sit biased in 32-bit fields.  So each
 skein step adds a constant to the key: a monomial t^a x^b adds its
 packed shift (a << _F) + b, and T_w -> T_v adds (w(i+1) - w(i)) times
 (1 << lo) - (1 << hi), lo and hi the offsets of the two digits.  No
-tuple is built per term; coefficients are reduced mod p once per
-letter.  The fields never wrap: MAX_STRANDS keeps w(k) below 2^11, a
-word with more singular letters than the grade field holds is refused,
-and MAX_WORK, a bound on the terms ``act`` produces in one pass (one
+tuple is built per term.  Over GF(p) coefficients are reduced once per
+letter; over the integers ``act`` returns the dict it built, so a zero
+may stay in the state until it is read, and every reader (the next
+``act``, a singular letter's copy, ``contract``, the fill's permutation
+set) skips it, which keeps every work count and table entry.  The
+fields never wrap: MAX_STRANDS keeps w(k) below 2^11, a word with more
+singular letters than the grade field holds is refused, and MAX_WORK,
+a bound on the terms ``act`` produces in one pass (one
 ``weight_sums`` call, its trace expansions included), also bounds the
 letters and so the exponents.  Each bound raises ``BoundError``.  The
 2^d resolution passes of one ``eval_vector`` call share one count
@@ -36,8 +40,8 @@ The trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when
 w fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
 with no writhe factor.  So a w moving n is peeled as
 w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
-that product expanded with ``act``.  Trace values are lists of
-(packed exponents, coefficient) pairs, memoized by W in a table that lives
+that product expanded with ``act``.  Trace values are the items of
+{packed exponents: coefficient} dicts, memoized by W in a table that lives
 for one call (or in the caller's ``cache``, which also keeps its ring
 under the key None), so it holds at most 1! + ... + n! entries.  W
 determines w and its length (its largest digit is n - 1), so
@@ -247,9 +251,14 @@ class _Pass:
         hi = lo + _WIDTH
         move = (1 << lo) - (1 << hi)
         # A singular letter keeps the state and adds Y g_i^(-1) times it.
-        out, lift = (dict(state), _ONE_G) if kind == SING else ({}, 0)
+        if kind == SING:
+            out, lift = {key: c for key, c in state.items() if c}, _ONE_G
+        else:
+            out, lift = {}, 0
         get = out.get
         for key, c in state.items():
+            if not c:
+                continue
             key += lift
             rise = (key >> hi & _DIGIT) - (key >> lo & _DIGIT)  # w(i+1) - w(i)
             if (rise > 0) == pos:
@@ -264,7 +273,9 @@ class _Pass:
         self.work += len(out)
         if self.work > self.limit:
             raise BoundError(self.refusal)
-        return _canonical(out, self.p)
+        # Over the integers a zero may stay until it is read; every reader
+        # skips it.  GF(p) reduces once per letter.
+        return _canonical(out, self.p) if self.p else out
 
     def contract(self, state: dict, parts: int) -> list[dict]:
         """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, split by g; each w is tabulated.
@@ -277,6 +288,8 @@ class _Pass:
         acc: dict = {}
         get = acc.get
         for key, c in state.items():
+            if not c:
+                continue
             base = (key & _LOW) - _ZERO
             for s, f in table[key >> _OW]:
                 k = base + s
@@ -303,13 +316,15 @@ class _Pass:
         """
         table = self.table
         levels = []
-        todo = {key >> _OW for key in state}
+        todo = {key >> _OW for key, c in state.items() if c}
         while n > 1 and todo:
             missing = [v for v in todo if v not in table]
             chunks = [
                 (chunk, self._expand(chunk, n))
                 for chunk in (missing[at : at + _LABELS] for at in range(0, len(missing), _LABELS))
             ]
+            # The expansions multiply by g_i only, whose steps have
+            # positive coefficients, so they hold no zero.
             todo = {key >> _OW for _, expanded in chunks for key in expanded}
             levels.append(chunks)
             n -= 1
@@ -317,7 +332,7 @@ class _Pass:
             table[v] = [(_ZERO, 1)]
         for chunks in reversed(levels):
             for chunk, expanded in chunks:
-                table.update(zip(chunk, [list(v.items()) for v in self.contract(expanded, len(chunk))]))
+                table.update(zip(chunk, [v.items() for v in self.contract(expanded, len(chunk))]))
 
     def _expand(self, chunk: list, n: int) -> dict:
         """The trace expansions of the permutations of ``chunk``, in S_n, as one state labelled by index."""

@@ -9,6 +9,7 @@ import pytest
 
 from skeinforge import engine
 from skeinforge.braid import random_word
+from skeinforge.rings import _canonical
 from skeinforge import (
     CONWAY,
     GENERIC,
@@ -354,6 +355,32 @@ def test_work_count_of_the_d10_graded_pass():
     # started at its cheapest rotation (19,623 terms at rotation 0).
     _, run = packed_run(D10.word, R)
     assert run.work == 13_077
+
+
+def test_zeros_left_in_the_state_move_no_count():
+    # Over the integers act returns the dict it built, so g_2 g_2^(-1)
+    # leaves zero coefficients where t x T_w and -t x T_w meet, on
+    # permutations that no other term holds.  A singular letter's copy,
+    # the next act, the fill and contract skip them: each gives the same
+    # table, sums and work as on the canonical copy.  GF(p) still reduces
+    # once per letter.
+    start = {engine._ZERO | sum(k << engine._WIDTH * k for k in range(4)) << engine._OW: 1}
+    for ring in (R, CONWAY, gf(5)):
+        run = engine._Pass(ring, {})
+        state = start
+        for kind, i in ((POS, 1), (NEG, 3), (POS, 2), (POS, 2), (NEG, 2)):
+            state = run.act(state, kind, i)
+        canonical = _canonical(state, ring.p)
+        assert (state != canonical) == (ring.p is None), ring
+        results = []
+        for s in (state, canonical):
+            run = engine._Pass(ring, {})
+            run.tabulate(s, 4)
+            sums = run.contract(s, 1)
+            out = run.act(run.act(s, SING, 1), NEG, 3)
+            run.tabulate(out, 4)
+            results.append((run.table, sums, run.contract(out, 2), run.work))
+        assert results[0] == results[1], ring
 
 
 def test_every_rotation_gives_the_same_weight_sums(monkeypatch):
