@@ -57,16 +57,19 @@ weight sums and the fill its values by label.
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
 Y^g part of the pass, traced, is the sum S_g of the values of the
-resolutions with g ones.  Before the pass, words are freely reduced,
-conjugation-cancelled at the seam, stripped of untouched strands (a
-delta factor each), and destabilized at the top and bottom strand;
-singular letters never cancel and are never kinks.  The trace is
-cyclic, so a word with singular letters is then rotated to start where
-a cheap estimate of the pass's support is least (``_cheapest_rotation``):
-only the word itself and the starts just after a singular letter are
-scored.  Classical words, and so ``homfly`` and the resolution passes of
-``eval_vector``, start where they stand: scoring all their rotations
-costs more than it saves on the short words they mostly are.
+resolutions with g ones.  Before the pass, words are freely reduced up
+to far commutation (letters two or more indices apart commute, t_i
+too), conjugation-cancelled at the seam up to the same commutation,
+stripped of untouched strands (a delta factor each), and destabilized
+at the top and bottom strand; singular letters never cancel, block the
+cancellations on their index and both neighbours, and are never kinks
+(``_simplify``).  The trace is cyclic, so a word with singular letters
+is then rotated to start where a cheap estimate of the pass's support
+is least (``_cheapest_rotation``): only the word itself and the starts
+just after a singular letter are scored.  Classical words, and so
+``homfly`` and the resolution passes of ``eval_vector``, start where
+they stand: scoring all their rotations costs more than it saves on the
+short words they mostly are.
 """
 
 from __future__ import annotations
@@ -367,45 +370,81 @@ class _Pass:
 def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
     """Exact closure-preserving shrinking; returns (strands, letters, delta_pow).
 
-    Each round makes one stack pass of free reduction that also counts
-    the letters on each index, then cancels across the seam with two
-    index pointers.  From the counts it drops every free strand in one
-    renumbering and finds a kink on the top or bottom strand; removing a
-    kink starts the next round.  Singular letters never cancel and are
-    never kinks, so the value of every resolution is kept.
+    Letters two or more indices apart commute, singular ones included
+    (Baez 1992, Birman 1993), so each round reduces the word up to that
+    commutation.  A classical letter cancels the latest kept letter on
+    its own or a neighbouring index when that letter is its inverse:
+    every letter between sits two or more indices away and commutes with
+    both.  One stack of kept positions per index makes that O(1) a
+    letter.  The closure then cancels across the seam the first letter
+    on an index against the last one, when no letter before the first or
+    after the last sits on that index or a neighbour.  From the letter
+    counts it drops every free strand in one renumbering and finds a
+    kink on the top or bottom strand; removing a kink starts the next
+    round unless a round could change nothing.  Singular letters block
+    their index and both neighbours, never cancel and are never kinks,
+    so the value of every resolution is kept.
     """
     word = letters
     delta_pow = 0
     while True:
-        # Free reduction: cancel adjacent inverse pairs.
+        # Reduction: top[i] and first[i] are the positions in ``kept`` of
+        # the latest and the earliest letter kept on index i (top[i] is -1,
+        # which never blocks, when there is none), and below[p] the one
+        # kept under p on its index.
+        top = [-1] * (n + 1)
+        first = [0] * (n + 1)
         count = [0] * (n + 1)
-        stack: list = []
-        last = None
+        below: list = []
+        kept: list = []
         for letter in word:
             kind, i = letter
-            if kind and last is not None and last[1] == i and last[0] == -kind:
-                stack.pop()
+            p = top[i]
+            if kind and p > top[i - 1] and p > top[i + 1] and kept[p][0] == -kind:
+                top[i] = below[p]
+                kept[p] = None
                 count[i] -= 1
-                last = stack[-1] if stack else None
             else:
-                stack.append(letter)
+                if p < 0:
+                    first[i] = len(kept)
+                below.append(p)
+                top[i] = len(kept)
+                kept.append(letter)
                 count[i] += 1
-                last = letter
+        holes = len(kept) < len(word)
 
-        # The closure also cancels an inverse pair across the seam.
-        lo, hi = 0, len(stack) - 1
-        while (
-            lo < hi
-            and stack[lo][0]
-            and stack[lo][1] == stack[hi][1]
-            and stack[lo][0] == -stack[hi][0]
-        ):
-            count[stack[lo][1]] -= 2
-            lo += 1
-            hi -= 1
-        if lo > hi:
+        # Across the seam, over the count[i] letters from first[i] to
+        # last[i].  A cancellation there can free only its own index and
+        # the two neighbours for the next; above[p], the letter kept over
+        # p on its index, is found once a first one happens.
+        if max(count) > 1:
+            last, above = top, None
+            todo = [i for i in range(1, n) if count[i] > 1]
+            while todo:
+                i = todo.pop()
+                if count[i] < 2:
+                    continue
+                f, l = first[i], last[i]
+                kind = kept[f][0]
+                if not kind or kept[l][0] != -kind:
+                    continue
+                for j in (i - 1, i + 1):
+                    if count[j] and (first[j] < f or last[j] > l):
+                        break
+                else:
+                    if above is None:
+                        above = [0] * len(kept)
+                        for p, q in enumerate(below):
+                            if q >= 0 and kept[p]:
+                                above[q] = p
+                    kept[f] = kept[l] = None
+                    first[i], last[i] = above[f], below[l]
+                    count[i] -= 2
+                    holes = True
+                    todo += (i - 1, i, i + 1)
+        word = [letter for letter in kept if letter] if holes else kept
+        if not word:
             return 1, (), delta_pow + n - 1
-        word = stack[lo : hi + 1] if lo else stack
 
         # A strand no letter touches closes to a split unknot: drop it
         # and keep a delta factor.  Such a strand needs a zero count
@@ -429,18 +468,24 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
 
         # Destabilize: a single classical crossing on the top (or
         # bottom) strand is a kink on the closure; remove it and the
-        # strand.
-        for edge in (n - 1, 1):
-            if count[edge] == 1:
-                q = next(q for q, letter in enumerate(word) if letter[1] == edge)
-                if word[q][0] != SING:
-                    break
-        else:
-            return n, tuple(word), delta_pow
-        word = word[q + 1 :] + word[:q]
-        if edge == 1:
-            word = [(kind, i - 1) for kind, i in word]
-        n -= 1
+        # strand.  It blocked only the new edge index, so unless that
+        # index holds no letter (a free strand) or two or more, a new
+        # round would change nothing.
+        while True:
+            for edge in (n - 1, 1):
+                if count[edge] == 1:
+                    q = next(q for q, letter in enumerate(word) if letter[1] == edge)
+                    if word[q][0] != SING:
+                        break
+            else:
+                return n, tuple(word), delta_pow
+            word = word[q + 1 :] + word[:q]
+            if edge == 1:
+                word = [(kind, i - 1) for kind, i in word]
+            del count[edge]
+            n -= 1
+            if count[1 if edge == 1 else n - 1] != 1:
+                break
 
 
 def _cheapest_rotation(n: int, letters: tuple) -> tuple:

@@ -79,7 +79,8 @@ __all__ = [
 DEFAULT_MAX_SING = 10
 # State terms that the 2^d resolution passes of one eval_vector call may
 # produce together (engine.MAX_WORK bounds one pass).  The pinned corpora,
-# the check suites and the tests peak at 262,431 (the d = 10 word).
+# the check suites and the tests peak at 157,163 (the d = 10 word; 262,431
+# before the reduction cancelled across commuting letters).
 MAX_CUBE_WORK = 2_750_000
 
 

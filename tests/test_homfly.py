@@ -191,6 +191,89 @@ def test_simplify_keeps_singular_letters():
     )
 
 
+def simplifies_to(text, expected, delta_pow=0):
+    word, want = parse_word(text), parse_word(expected)
+    return engine._simplify(word.strands, word.letters) == (want.strands, want.letters, delta_pow)
+
+
+def test_simplify_cancels_across_commuting_letters():
+    # Singular frames on every index keep the seam, free strands and
+    # kinks out of play.  s3 commutes with s1, s2 does not.
+    frame = "t1 t2 t3"
+    assert simplifies_to(f"4: {frame} s1 s3 s1^-1 {frame}", f"4: {frame} s3 {frame}")
+    assert simplifies_to(f"4: {frame} s1 s2 s1^-1 {frame}", f"4: {frame} s1 s2 s1^-1 {frame}")
+    # A cancellation can unblock the next one.
+    assert simplifies_to(f"4: {frame} s1 s3 s2 s2^-1 s3^-1 s1^-1 {frame}", f"4: {frame} {frame}")
+
+
+def test_simplify_singular_letters_block_only_their_neighbourhood():
+    frame = "t1 t2 t3 t4 t5"
+    for far in ("t3", "t4", "t5", "t3 t5"):
+        assert simplifies_to(f"6: {frame} s1 {far} s1^-1 {frame}", f"6: {frame} {far} {frame}"), far
+    for near in ("t1", "t2", "t3 t2"):
+        word = f"6: {frame} s1 {near} s1^-1 {frame}"
+        assert simplifies_to(word, word), near
+
+
+def test_simplify_cancels_across_the_seam_up_to_commutation():
+    # s1 is the first letter on indices 0..2 and s1^-1 the last, so both
+    # commute to the seam, though the word ends in s3.  The free bottom
+    # strand then drops.
+    assert simplifies_to("4: s1 t2 t3 t2 t3 s1^-1 s3", "3: t1 t2 t1 t2 s2", 1)
+    # s2 after s1^-1 does not commute with it.
+    assert simplifies_to("4: s1 t2 t3 t2 t3 s1^-1 s2", "4: s1 t2 t3 t2 t3 s1^-1 s2")
+    # s1 blocks s2 until s1 s1^-1 cancel there.
+    assert simplifies_to("5: s1 s2 t3 t4 t3 t4 s2^-1 s4 s1^-1", "3: t1 t2 t1 t2 s2", 2)
+
+
+def test_simplify_cascades_to_a_smaller_braid():
+    # s1 s1^-1 cancel across s3, s3 s3^-1 across the seam, and the
+    # two free strands each leave a delta factor.
+    assert simplifies_to("4: s1 s3 s1^-1 s2 s2 s2 s3^-1", "2: s1 s1 s1", 2)
+
+
+def test_simplify_peels_kinks_and_what_they_free():
+    # A sweep peels one kink after another; a peel that empties the new
+    # edge index frees a strand, and one that leaves it two letters lets
+    # them cancel.
+    assert simplifies_to("6: s1 s2 s3 s4 s5", "1:")
+    assert simplifies_to("4: s1 t3 t3", "2: t1 t1", 1)
+    assert simplifies_to("4: s3 s1 s2 s1^-1", "1:", 1)
+
+
+def planted(rng, classical):
+    # A random word with a pair g ... g^(-1) planted around letters two or
+    # more indices away from g's, and the same word with the pair removed.
+    n = rng.randint(3, 6)
+    kinds = (POS, NEG) if classical else (POS, NEG, SING)
+
+    def letters(count, indices):
+        return [(rng.choice(kinds), rng.choice(indices)) for _ in range(count)] if indices else []
+
+    i = rng.randint(1, n - 1)
+    far = [j for j in range(1, n) if abs(j - i) >= 2]
+    g = rng.choice((POS, NEG))
+    head, inside, tail = (letters(rng.randint(0, 3), list(range(1, n))), letters(rng.randint(0, 3), far),
+                          letters(rng.randint(0, 3), list(range(1, n))))
+    word = head + [(g, i)] + inside + [(-g, i)] + tail
+    return SingularBraidWord(n, tuple(word)), SingularBraidWord(n, tuple(head + inside + tail))
+
+
+def test_planted_commuting_pairs_keep_every_value():
+    rng = random.Random(1993)
+    for ring in (R, CONWAY, gf(5)):
+        for _ in range(40):
+            word, removed = planted(rng, classical=True)
+            assert len(engine._simplify(word.strands, word.letters)[1]) <= len(word.letters) - 2, word
+            value = homfly(word, ring)
+            assert value == homfly(removed, ring) == homfly_reference(word, ring), word
+        for _ in range(40):
+            word, removed = planted(rng, classical=False)
+            link = OrderedSingularLink(word)
+            sums = engine.weight_sums(word, ring)
+            assert sums == engine.weight_sums(removed, ring) == reference_weight_sums(link, ring), word
+
+
 def random_singular(rng):
     # Words with free strands and singular letters on edge indices.
     n = rng.randint(1, 6)
@@ -235,11 +318,13 @@ def test_weight_sums_match_oracle_small_primes():
 
 
 def wide_singular(rng):
-    # Every index at least once and both edge indices twice, so most
-    # words keep 7 or more strands through simplification.
+    # Every index at least once and both edge indices twice, each index
+    # with one sign so that no letter meets its inverse: most words keep
+    # 7 or more strands through simplification.
     n = rng.randint(7, 12)
     indices = list(range(1, n)) + [1, n - 1] + [rng.randint(1, n - 1) for _ in range(rng.randint(0, 2))]
-    letters = [(rng.choice((POS, NEG)), i) for i in indices]
+    signs = [rng.choice((POS, NEG)) for _ in range(n)]
+    letters = [(signs[i], i) for i in indices]
     for _ in range(rng.randint(0, 2)):
         letters[rng.randrange(len(letters))] = (SING, rng.randint(1, n - 1))
     rng.shuffle(letters)

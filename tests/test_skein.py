@@ -105,18 +105,18 @@ def test_eval_vector_refuses_a_strand_count_above_the_bound():
 
 @pytest.mark.parametrize("ring", [R, CONWAY, gf(5)])
 def test_eval_vector_counts_work_over_all_passes(monkeypatch, ring):
-    # The 32 resolution passes share one count: 1,115 terms in act, the
+    # The 32 resolution passes share one count: 970 terms in act, the
     # passes and the trace expansions together.
     link = parse_link("4: t1 s2 t3 s1^-1 t2 s3 t1 s2^-1 t3 | o = 5 2 4 1 3")
-    monkeypatch.setattr(skein, "MAX_CUBE_WORK", 1_115)
+    monkeypatch.setattr(skein, "MAX_CUBE_WORK", 970)
     values = eval_vector(link, ring)
     assert values == {bits: homfly(resolve_all(link, bits), ring) for bits in all_patterns(5)}
-    monkeypatch.setattr(skein, "MAX_CUBE_WORK", 1_114)
-    with pytest.raises(BoundError, match="^the resolution passes exceed the bound of 1114 terms$"):
+    monkeypatch.setattr(skein, "MAX_CUBE_WORK", 969)
+    with pytest.raises(BoundError, match="^the resolution passes exceed the bound of 969 terms$"):
         eval_vector(link, ring)
 
 
-@pytest.mark.parametrize("ring, work", [(R, 262_431), (CONWAY, 262_431), (gf(5), 262_394)])
+@pytest.mark.parametrize("ring, work", [(R, 157_163), (CONWAY, 157_163), (gf(5), 157_120)])
 def test_eval_vector_work_count_of_the_d10_word(monkeypatch, ring, work):
     # The 1,024 resolution passes of the d = 10 word share one count.  The
     # resolutions are classical, so each pass starts at rotation 0; only
