@@ -411,38 +411,35 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
                 top[i] = len(kept)
                 kept.append(letter)
                 count[i] += 1
-        holes = len(kept) < len(word)
 
         # Across the seam, over the count[i] letters from first[i] to
         # last[i].  A cancellation there can free only its own index and
         # the two neighbours for the next; above[p], the letter kept over
         # p on its index, is found once a first one happens.
-        if max(count) > 1:
-            last, above = top, None
-            todo = [i for i in range(1, n) if count[i] > 1]
-            while todo:
-                i = todo.pop()
-                if count[i] < 2:
-                    continue
-                f, l = first[i], last[i]
-                kind = kept[f][0]
-                if not kind or kept[l][0] != -kind:
-                    continue
-                for j in (i - 1, i + 1):
-                    if count[j] and (first[j] < f or last[j] > l):
-                        break
-                else:
-                    if above is None:
-                        above = [0] * len(kept)
-                        for p, q in enumerate(below):
-                            if q >= 0 and kept[p]:
-                                above[q] = p
-                    kept[f] = kept[l] = None
-                    first[i], last[i] = above[f], below[l]
-                    count[i] -= 2
-                    holes = True
-                    todo += (i - 1, i, i + 1)
-        word = [letter for letter in kept if letter] if holes else kept
+        last, above = top, None
+        todo = [i for i in range(1, n) if count[i] > 1]
+        while todo:
+            i = todo.pop()
+            if count[i] < 2:
+                continue
+            f, l = first[i], last[i]
+            kind = kept[f][0]
+            if not kind or kept[l][0] != -kind:
+                continue
+            for j in (i - 1, i + 1):
+                if count[j] and (first[j] < f or last[j] > l):
+                    break
+            else:
+                if above is None:
+                    above = [0] * len(kept)
+                    for p, q in enumerate(below):
+                        if q >= 0 and kept[p]:
+                            above[q] = p
+                kept[f] = kept[l] = None
+                first[i], last[i] = above[f], below[l]
+                count[i] -= 2
+                todo += (i - 1, i, i + 1)
+        word = [letter for letter in kept if letter]
         if not word:
             return 1, (), delta_pow + n - 1
 
