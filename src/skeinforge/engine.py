@@ -134,8 +134,10 @@ def homfly(
     """Polynomial of the closure of a classical word, normalized to 1 on the unknot.
 
     ``cache`` is a caller-owned trace table shared across calls in one
-    ring: it maps packed permutations to packed trace values and keeps
-    its ring under the key None.  By default each call has its own.  A
+    ring: it maps packed permutations to packed trace values, each the
+    ``items()`` view of a {packed exponents: c} dict (views do not
+    pickle, and compare equal as sets, not to lists), and keeps its ring
+    under the key None.  By default each call has its own.  A
     table of another ring raises ``ValueError``.  ``bench/`` replays
     with one until ROADMAP item 4 retires that replay.
     """
@@ -332,7 +334,7 @@ class _Pass:
             levels.append(chunks)
             n -= 1
         for v in todo:  # the identity of S_1
-            table[v] = [(_ZERO, 1)]
+            table[v] = {_ZERO: 1}.items()
         for chunks in reversed(levels):
             for chunk, expanded in chunks:
                 table.update(zip(chunk, [v.items() for v in self.contract(expanded, len(chunk))]))
@@ -413,10 +415,13 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
                 count[i] += 1
 
         # Across the seam, over the count[i] letters from first[i] to
-        # last[i].  A cancellation there can free only its own index and
-        # the two neighbours for the next; above[p], the letter kept over
-        # p on its index, is found once a first one happens.
-        last, above = top, None
+        # last[i], with above[p] the letter kept over p on its index.  A
+        # cancellation there can free only its own index and the two
+        # neighbours for the next.
+        last, above = top, [0] * len(kept)
+        for p, q in enumerate(below):
+            if q >= 0 and kept[p]:
+                above[q] = p
         todo = [i for i in range(1, n) if count[i] > 1]
         while todo:
             i = todo.pop()
@@ -430,11 +435,6 @@ def _simplify(n: int, letters: tuple) -> tuple[int, tuple, int]:
                 if count[j] and (first[j] < f or last[j] > l):
                     break
             else:
-                if above is None:
-                    above = [0] * len(kept)
-                    for p, q in enumerate(below):
-                        if q >= 0 and kept[p]:
-                            above[q] = p
                 kept[f] = kept[l] = None
                 first[i], last[i] = above[f], below[l]
                 count[i] -= 2

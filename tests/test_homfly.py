@@ -317,14 +317,18 @@ def test_weight_sums_match_oracle_small_primes():
                 assert e_t == 0 or not ring.conway, link
 
 
-def wide_singular(rng):
-    # Every index at least once and both edge indices twice, each index
-    # with one sign so that no letter meets its inverse: most words keep
-    # 7 or more strands through simplification.
+def wide_singular(rng, one_sign=False):
+    # Every index at least once and both edge indices twice.  With mixed
+    # signs letters cancel, some across commuting letters; with one sign
+    # per index no letter meets its inverse, so most words keep 7 or more
+    # strands through simplification.
     n = rng.randint(7, 12)
     indices = list(range(1, n)) + [1, n - 1] + [rng.randint(1, n - 1) for _ in range(rng.randint(0, 2))]
-    signs = [rng.choice((POS, NEG)) for _ in range(n)]
-    letters = [(signs[i], i) for i in indices]
+    if one_sign:
+        signs = [rng.choice((POS, NEG)) for _ in range(n)]
+        letters = [(signs[i], i) for i in indices]
+    else:
+        letters = [(rng.choice((POS, NEG)), i) for i in indices]
     for _ in range(rng.randint(0, 2)):
         letters[rng.randrange(len(letters))] = (SING, rng.randint(1, n - 1))
     rng.shuffle(letters)
@@ -333,14 +337,25 @@ def wide_singular(rng):
 
 def test_weight_sums_match_oracle_on_7_to_12_strands():
     # Permutations packed into up to twelve 11-bit digits, moved and
-    # peeled at every position.
+    # peeled at every position.  Ten mixed-sign words per ring, then ten
+    # one-sign words per ring.
     rng = random.Random(909)
-    wide = 0
-    for ring in (R, CONWAY, gf(2), gf(3)):
-        for _ in range(10):
-            link = wide_singular(rng)
-            wide += engine._simplify(link.word.strands, link.word.letters)[0] >= 7
-            assert engine.weight_sums(link.word, ring) == reference_weight_sums(link, ring), link
+    rings = (R, CONWAY, gf(2), gf(3))
+    mixed = [wide_singular(rng) for _ in range(40)]
+    one_sign = [wide_singular(rng, one_sign=True) for _ in range(40)]
+    wide = cancelling = 0
+    for at, link in enumerate(mixed + one_sign):
+        word = link.word
+        n, kept, delta_pow = engine._simplify(word.strands, word.letters)
+        if at < 40:
+            # Letters gone beyond the kinks (a letter and a strand each)
+            # and the free strands (delta_pow) went in cancelling pairs.
+            cancelling += len(kept) < len(word.letters) - (word.strands - n - delta_pow)
+        else:
+            wide += n >= 7
+        ring = rings[at // 10 % 4]
+        assert engine.weight_sums(word, ring) == reference_weight_sums(link, ring), link
+    assert cancelling >= 20
     assert wide >= 20
 
 
@@ -503,6 +518,7 @@ def test_chunked_fill_matches(monkeypatch, labels):
     rng = random.Random(919)
     words = [parse_word("13: " + " ".join(f"s{i} s{i}" for i in range(1, 13)))]
     words += [wide_singular(rng).word for _ in range(6)]
+    words += [wide_singular(rng, one_sign=True).word for _ in range(3)]
     for ring in (R, CONWAY, gf(5)):
         expected = [packed_run(word, ring) for word in words]
         with monkeypatch.context() as patch:
