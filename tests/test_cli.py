@@ -358,6 +358,13 @@ PINNED_INVARIANT_DIGESTS = [
     (ROADMAP_WORD, "generic", ("--ordered",), "93af4ba1d5b6d51b3958df4388d3c5e24f577dc0b80416f7f038e71709a1fe97"),
     (ROADMAP_WORD, "conway", ("--ordered",), "c94859a2d41ce8fb46903dd207227735d4da6873d88e594c25a98632802af9b2"),
     (ROADMAP_WORD, "gf:5", ("--ordered",), "64dd571c2d0ae73c00087c5aa1a38f60d409442cf79c9a5bc57857fa24b5c084"),
+    (ROADMAP_WORD, "generic", ("--json", "--ordered"), "b81f64884efeaa6d878581b077d8fdce0f487a74ba4dfdac40e62ba53634b76b"),
+    (ROADMAP_WORD, "conway", ("--json", "--ordered"), "adea605cbe5d01cbc2528355c8d095a70e54c529b5c54f5f7dadb5886583deb2"),
+    (ROADMAP_WORD, "gf:5", ("--json", "--ordered"), "6224be615d2efc19e858e5fd5a373491e97de1caf2462b58b314c98063ceadd1"),
+    # --ordered in the rings whose normal forms skip the _off_denom
+    # certificate.
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:2", ("--ordered",), "b43f89e7d8d80219af73586db91b68aa5a97b91cd54678849ec78a76a2285d4f"),
+    ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:3", ("--ordered",), "285b24a05df8aa8391ef5797942e37b7f58534fb15d4ad40b2d09f15564586ba"),
 ]
 
 
