@@ -120,7 +120,7 @@ def clear_cache() -> None:
     """Do nothing: no state outlives a call.
 
     Kept only because ``bench/`` calls it; it goes when the benchmark
-    drops those calls (ROADMAP item 4).
+    drops those calls (ROADMAP item 1(c)).
     """
 
 
@@ -139,7 +139,7 @@ def homfly(
     pickle, and compare equal as sets, not to lists), and keeps its ring
     under the key None.  By default each call has its own.  A
     table of another ring raises ``ValueError``.  ``bench/`` replays
-    with one until ROADMAP item 4 retires that replay.
+    with one until ROADMAP item 1(c) retires that replay.
     """
     if not word.is_classical:
         raise PreconditionError(
@@ -148,7 +148,7 @@ def homfly(
     _check_crossings(word, max_crossings)
     table = {} if cache is None else cache
     _same_ring(table.setdefault(None, ring), ring)
-    return LaurentPoly._raw(ring, _decode(_packed_sums(word, ring, _Pass(ring, table))[0]))
+    return _decode(ring, _packed_sums(word, ring, _Pass(ring, table))[0])
 
 
 def _check_crossings(word: SingularBraidWord, max_crossings: int) -> None:
@@ -165,7 +165,7 @@ def weight_sums(word: SingularBraidWord, ring: Ring) -> list[LaurentPoly]:
     ``BoundError`` above MAX_STRANDS declared strands, above 65535
     singular letters or above MAX_WORK state terms.
     """
-    return [LaurentPoly._raw(ring, _decode(s)) for s in _packed_sums(word, ring)]
+    return [_decode(ring, s) for s in _packed_sums(word, ring)]
 
 
 def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) -> list[dict]:
@@ -203,10 +203,10 @@ def _pack(poly: LaurentPoly) -> list[tuple[int, int]]:
     return [((e_t << _F) + e_x, c) for (e_t, e_x), c in poly.terms.items()]
 
 
-def _decode(packed: dict) -> dict:
-    """{packed exponents: c} as {(e_t, e_x): c}."""
+def _decode(ring: Ring, packed: dict) -> LaurentPoly:
+    """A canonical {packed exponents: c} dict as a value of ``ring``."""
     mask = (1 << _F) - 1
-    return {((e >> _F) - _BIAS, (e & mask) - _BIAS): c for e, c in packed.items()}
+    return LaurentPoly._raw(ring, {((e >> _F) - _BIAS, (e & mask) - _BIAS): c for e, c in packed.items()})
 
 
 def _times(terms, shifts: list, acc: dict | None = None) -> dict:

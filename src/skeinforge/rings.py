@@ -80,16 +80,6 @@ def _canonical(acc: dict, p: int | None) -> dict:
     return {key: r for key, c in acc.items() if (r := c % p if p else c)}
 
 
-def _mul_terms(acc: dict, a: Mapping, b: Mapping) -> dict:
-    """Add the product of the (e_t, e_x)-keyed terms a and b into acc, unreduced."""
-    get = acc.get
-    for (a1, b1), c1 in a.items():
-        for (a2, b2), c2 in b.items():
-            k = (a1 + a2, b1 + b2)
-            acc[k] = get(k, 0) + c1 * c2
-    return acc
-
-
 def _same_ring(a: "Ring", b: "Ring") -> None:
     """Refuse to mix values of two rings; rings are shared, so this is identity."""
     if a is not b:
@@ -177,7 +167,12 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _same_ring(self.ring, other.ring)
-        acc = _mul_terms({}, self.terms, other.terms)
+        acc: dict[tuple[int, int], int] = {}
+        get = acc.get
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                k = (a1 + a2, b1 + b2)
+                acc[k] = get(k, 0) + c1 * c2
         return LaurentPoly._raw(self.ring, _canonical(acc, self.ring.p))
 
     # -- comparison and display -------------------------------------

@@ -12,9 +12,9 @@ axes.  As delta^2 - 1 is a unit, that is M(delta) with delta negated:
 
     M(delta)^(-1) = (B / D) M(-delta),      B = -x^2,
 
-so the solve runs ``apply_cube``'s butterfly with -delta on Laurent
-numerators, and each coordinate is B^d times one numerator over D^d, put
-in normal form once.  No denominator but powers of D ever appears.
+so the solve runs ``apply_cube``'s butterfly with -delta on packed
+numerators (``engine._times``), and each coordinate, B^d (a key shift and
+a sign) times one of them over D^d, is decoded once for its normal form.
 
 Summing coordinates over patterns with d - j zeros and j ones projects
 onto the coefficient of X^(d-j) Y^j of the commutative polynomial
@@ -35,18 +35,13 @@ projection of the solved coordinates, term for term.  ``invariant``
 computes the polynomial this way, with or without ``--ordered``, and
 takes the weight sums from the engine's graded pass (the packed form
 of ``engine.weight_sums``), which never forms the 2^d resolutions.
-The sum is one homogeneous Horner pass in v = 1 + c z over the d + 1
-z-coefficients H[0..d], as flat integer terms keyed by the engine's
-packed exponents (``_unordered_numerators``): for w = d down to 0, H
-becomes H v plus S_w (c + z)^(d-w).  Times v, H[i] gains c H[i-1], top
-down in place; the second term adds C(d-w, i) c^(d-w-i) S_w to H[i],
-with the powers c^k S_w built as they are added.  That is d(d+1)
-products by the two-term c, half of them on the small S_w, and
-(d+1)(d+2)/2 binomial-scaled additions, with no binomial table.  Each
-S_w is multiplied once by the monomial B^d, which adds a constant to
-every key, and exponents are decoded once per output coefficient.
-``eval_vector`` lists the resolution values for ``--ordered``;
-``project_unordered(solve_coordinates(...))`` is kept only as the
+The sum is one homogeneous Horner pass in v = 1 + c z on the engine's
+packed terms (``_unordered_numerators``): d(d+1) products by the two-term
+c, half of them on the small S_w, and (d+1)(d+2)/2 binomial-scaled
+additions, with no binomial table.  B^d shifts the keys of each S_w once,
+and exponents are decoded once per output coefficient.
+``--ordered`` solves the packed resolution values as the passes leave
+them.  ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
 """
 
@@ -58,9 +53,9 @@ from math import comb
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import (
-    DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _times,
+    _ZERO, DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _times,
 )
-from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _mul_terms, _same_ring
+from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _same_ring
 
 __all__ = [
     "DEFAULT_MAX_SING",
@@ -282,12 +277,15 @@ def eval_vector(
     The 2^d passes share one trace table and one work count, so more
     than MAX_CUBE_WORK terms over all of them raise ``BoundError``.
     """
+    values = _packed_values(link, ring, max_sing, max_crossings)
+    return {bits: _decode(ring, v) for bits, v in zip(all_patterns(link.d), values)}
+
+
+def _packed_values(link: OrderedSingularLink, ring: Ring, max_sing: int, max_crossings: int) -> list[dict]:
+    """``eval_vector``'s values as canonical packed dicts, in ``all_patterns`` order."""
     _check_bounds(link, max_sing, max_crossings)
     run = _Pass(ring, {}, MAX_CUBE_WORK, "the resolution passes exceed")
-    return {
-        bits: LaurentPoly._raw(ring, _decode(_packed_sums(resolve_all(link, bits), ring, run)[0]))
-        for bits in all_patterns(link.d)
-    }
+    return [_packed_sums(resolve_all(link, bits), ring, run)[0] for bits in all_patterns(link.d)]
 
 
 def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) -> None:
@@ -296,30 +294,30 @@ def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) 
     _check_crossings(link.word, max_crossings)
 
 
-def _axis_pass(ring: Ring, nums: list, d: int, c: LaurentPoly) -> list[LaurentPoly]:
-    # nums times M(c) = ((c, 1), (1, c)) tensored d times, one axis at a time;
-    # each entry, the other operand plus c times its own, is reduced once.
-    p, c = ring.p, c.terms
-    vec = [num.terms for num in nums]
+def _axis_pass(ring: Ring, vec: list[dict], d: int, c: LaurentPoly) -> list[dict]:
+    # Packed vec times M(c) = ((c, 1), (1, c)) tensored d times, one axis at
+    # a time; each entry, the other operand plus c times its own, reduced once.
+    p, c = ring.p, _pack(c)
     for axis in range(d):
         stride = 1 << (d - 1 - axis)
         for base in range(1 << d):
             if base & stride:
                 continue
             v0, v1 = vec[base], vec[base | stride]
-            vec[base] = _canonical(_mul_terms(dict(v1), c, v0), p)
-            vec[base | stride] = _canonical(_mul_terms(dict(v0), c, v1), p)
-    return [LaurentPoly._raw(ring, terms) for terms in vec]
+            vec[base] = _canonical(_times(v0.items(), c, dict(v1)), p)
+            vec[base | stride] = _canonical(_times(v1.items(), c, dict(v0)), p)
+    return vec
 
 
-def _numerators(ring: Ring, values: list) -> tuple[list[LaurentPoly], int]:
-    """Numerators of polynomials or localized scalars over one D^k, and k."""
+def _numerators(ring: Ring, values: list) -> tuple[list[dict], int]:
+    """Packed numerators of polynomials or localized scalars over one D^k, and k."""
     pairs = []
     for value in values:
         _same_ring(value.ring, ring)
         pairs.append((value, 0) if isinstance(value, LaurentPoly) else (value.num, value.dpow))
     k = max((dpow for _, dpow in pairs), default=0)
-    return [num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs], k
+    nums = (num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs)
+    return [_times({_ZERO: 1}.items(), _pack(num)) for num in nums], k
 
 
 def solve_coordinates(
@@ -340,15 +338,23 @@ def solve_coordinates(
     ):
         raise ValueError(f"need all {1 << d} patterns of length {d}")
     nums, k = _numerators(ring, [values[bits] for bits in all_patterns(d)])
-    nums = _axis_pass(ring, nums, d, -ring.delta)
-    b_pow = ring.monomial((-1) ** d, 0, 2 * d)
-    coords = {bits: ring.scalar(num * b_pow, d + k) for bits, num in zip(all_patterns(d), nums)}
+    return _solve(ring, nums, d, k)
+
+
+def _solve(ring: Ring, nums: list[dict], d: int, k: int) -> OrderedSkeinElement:
+    # nums: packed numerators over D^k, in all_patterns order.  B^d = (-1)^d x^(2d).
+    b_pow = [(2 * d, (-1) ** d)]
+    coords = {
+        bits: ring.scalar(_decode(ring, _canonical(_times(num.items(), b_pow), ring.p)), d + k)
+        for bits, num in zip(all_patterns(d), _axis_pass(ring, nums, d, -ring.delta))
+    }
     return OrderedSkeinElement(ring, d, coords)
 
 
 def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedScalar]:
     """Forward map: resolution values of an element given by coordinates.
 
+    The packed butterfly of ``solve_coordinates``, with delta for -delta.
     No CLI path applies it; it is the reference that checks
     ``solve_coordinates`` by mapping solved coordinates back to values,
     in the tests and in ``bench/``'s cross-check of its pinned answers.
@@ -356,7 +362,7 @@ def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedS
     ring, d = element.ring, element.d
     nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
     nums = _axis_pass(ring, nums, d, ring.delta)
-    return {bits: ring.scalar(num, k) for bits, num in zip(all_patterns(d), nums)}
+    return {bits: ring.scalar(_decode(ring, num), k) for bits, num in zip(all_patterns(d), nums)}
 
 
 # -- invariants --------------------------------------------------------
@@ -370,8 +376,7 @@ def invariant_ordered(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> OrderedSkeinElement:
     """Coordinates of the link in the degree-d basis; an isotopy invariant."""
-    values = eval_vector(link, ring, max_sing=max_sing, max_crossings=max_crossings)
-    return solve_coordinates(values, ring)
+    return _solve(ring, _packed_values(link, ring, max_sing, max_crossings), link.d, 0)
 
 
 def star(a: OrderedSkeinElement, b: OrderedSkeinElement) -> OrderedSkeinElement:
@@ -434,7 +439,7 @@ def invariant(
     d = link.d
     nums = _unordered_numerators(_packed_sums(link.word, ring), ring)
     return SkeinPolynomial(ring, {
-        (d - j, j): ring.scalar(LaurentPoly._raw(ring, _decode(num)), d) for j, num in enumerate(nums)
+        (d - j, j): ring.scalar(_decode(ring, num), d) for j, num in enumerate(nums)
     })
 
 

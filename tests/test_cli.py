@@ -354,7 +354,8 @@ PINNED_INVARIANT_DIGESTS = [
     # over integer binomial rows.
     (ROADMAP_WORD, "gf:2", (), "861c4e8087328d00a2f4bff4439625618beeb667ac81355e96eb754040df2907"),
     (ROADMAP_WORD, "gf:3", (), "4c3f205e6b22b4e68c8718d6de80799090cd6ab4743fdde3d32a77da32f03ed9"),
-    # Its --ordered forms, made by the axis pass on LaurentPoly values.
+    # Its --ordered forms, made when the axis pass ran on LaurentPoly values
+    # (now on the engine's packed terms).
     (ROADMAP_WORD, "generic", ("--ordered",), "93af4ba1d5b6d51b3958df4388d3c5e24f577dc0b80416f7f038e71709a1fe97"),
     (ROADMAP_WORD, "conway", ("--ordered",), "c94859a2d41ce8fb46903dd207227735d4da6873d88e594c25a98632802af9b2"),
     (ROADMAP_WORD, "gf:5", ("--ordered",), "64dd571c2d0ae73c00087c5aa1a38f60d409442cf79c9a5bc57857fa24b5c084"),

@@ -298,10 +298,14 @@ def test_invariant_ignores_labels():
 def test_invariant_matches_projected_coordinates(ring):
     # The weight-sum path against the reference: solve, then project.
     # Two links per d = 0..7, then one per d = 8..10, up to the default bound.
+    # The ordered coordinates, solved from the packed resolution values,
+    # also match the public route, which packs eval_vector's polynomials.
     rng = random.Random(808)
     for d in [d for d in range(8) for _ in range(2)] + [8, 9, 10]:
         link = random_word(rng, strands=rng.randint(2, 4), classical=rng.randint(0, 6), sing=d, shuffle_labels=True)
-        assert invariant(link, ring) == project_unordered(invariant_ordered(link, ring))
+        ordered = invariant_ordered(link, ring)
+        assert ordered == solve_coordinates(eval_vector(link, ring), ring)
+        assert invariant(link, ring) == project_unordered(ordered)
 
 
 def _zmul(ring, p, q):
@@ -336,7 +340,7 @@ def test_weight_kernel_matches_expansion(ring):
         for w in range(d + 1):
             sums = [{_ZERO: 1} if v == w else {} for v in range(d + 1)]
             nums = _unordered_numerators(sums, ring)
-            assert [ring.poly(_decode(num)) for num in nums] == rows[w], (d, w)
+            assert [_decode(ring, num) for num in nums] == rows[w], (d, w)
 
 
 def test_skein_polynomial_strings():
