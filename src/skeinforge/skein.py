@@ -317,7 +317,7 @@ def _numerators(ring: Ring, values: list) -> tuple[list[dict], int]:
         pairs.append((value, 0) if isinstance(value, LaurentPoly) else (value.num, value.dpow))
     k = max((dpow for _, dpow in pairs), default=0)
     nums = (num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs)
-    return [_times({_ZERO: 1}.items(), _pack(num)) for num in nums], k
+    return [{_ZERO + s: c for s, c in _pack(num)} for num in nums], k
 
 
 def solve_coordinates(
@@ -343,9 +343,9 @@ def solve_coordinates(
 
 def _solve(ring: Ring, nums: list[dict], d: int, k: int) -> OrderedSkeinElement:
     # nums: packed numerators over D^k, in all_patterns order.  B^d = (-1)^d x^(2d).
-    b_pow = [(2 * d, (-1) ** d)]
+    shift, sign, p = 2 * d, (-1) ** d, ring.p
     coords = {
-        bits: ring.scalar(_decode(ring, _canonical(_times(num.items(), b_pow), ring.p)), d + k)
+        bits: ring.scalar(_decode(ring, _canonical({e + shift: sign * c for e, c in num.items()}, p)), d + k)
         for bits, num in zip(all_patterns(d), _axis_pass(ring, nums, d, -ring.delta))
     }
     return OrderedSkeinElement(ring, d, coords)
