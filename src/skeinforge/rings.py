@@ -483,7 +483,8 @@ class LocalizedScalar:
     exactly, and zero is always (0, 0).  Equal values therefore have
     identical normal forms, so ``==`` is a value comparison.  ``num`` is
     always a value of ``ring``, so the numerators' own ring checks keep
-    scalars of different rings from mixing.
+    scalars of different rings from mixing.  A sum of two values or of
+    many (``_sum``) puts every numerator over one D^k and reduces once.
     """
 
     __slots__ = ("ring", "num", "dpow")
@@ -516,11 +517,7 @@ class LocalizedScalar:
     def __add__(self, other: "LocalizedScalar") -> "LocalizedScalar":
         if not isinstance(other, LocalizedScalar):
             return NotImplemented
-        ring = self.ring
-        k = max(self.dpow, other.dpow)
-        n1 = self.num * ring.denom_pow(k - self.dpow)
-        n2 = other.num * ring.denom_pow(k - other.dpow)
-        return LocalizedScalar(ring, n1 + n2, k)
+        return _sum(self.ring, (self, other))
 
     def __sub__(self, other: "LocalizedScalar") -> "LocalizedScalar":
         if not isinstance(other, LocalizedScalar):
@@ -554,6 +551,22 @@ class LocalizedScalar:
 
     def __repr__(self) -> str:
         return f"LocalizedScalar[{self}]"
+
+
+def _over_common_denom(ring: Ring, values: Iterable) -> tuple[list[LaurentPoly], int]:
+    """Numerators of polynomials or localized scalars of ``ring`` over one D^k, and k."""
+    pairs = []
+    for value in values:
+        _same_ring(value.ring, ring)
+        pairs.append((value, 0) if isinstance(value, LaurentPoly) else (value.num, value.dpow))
+    k = max((dpow for _, dpow in pairs), default=0)
+    return [num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs], k
+
+
+def _sum(ring: Ring, values: Iterable) -> LocalizedScalar:
+    """The sum of polynomials or localized scalars of ``ring``, in one normal form."""
+    nums, k = _over_common_denom(ring, values)
+    return LocalizedScalar(ring, LaurentPoly(ring, (item for num in nums for item in num.terms.items())), k)
 
 
 def specialize(poly: LaurentPoly, target: Ring) -> LaurentPoly:

@@ -55,7 +55,7 @@ from .errors import BoundError
 from .engine import (
     _ZERO, DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _times,
 )
-from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _same_ring
+from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _over_common_denom, _same_ring, _sum
 
 __all__ = [
     "DEFAULT_MAX_SING",
@@ -103,22 +103,15 @@ class OrderedSkeinElement:
     def coefficient(self, bits) -> LocalizedScalar:
         return self.coords.get(tuple(bits), self.ring.scalar_zero)
 
-    def _check(self, other: "OrderedSkeinElement") -> None:
+    def __add__(self, other: "OrderedSkeinElement") -> "OrderedSkeinElement":
         _same_ring(self.ring, other.ring)
         if self.d != other.d:
             raise ValueError(f"degrees differ: {self.d} vs {other.d}")
-
-    def __add__(self, other: "OrderedSkeinElement") -> "OrderedSkeinElement":
-        self._check(other)
-        out = dict(self.coords)
-        for bits, c in other.coords.items():
-            s = out.get(bits)
-            out[bits] = c if s is None else s + c
-        return OrderedSkeinElement(self.ring, self.d, out)
+        coords = _sum_by_key(self.ring, [*self.coords.items(), *other.coords.items()])
+        return OrderedSkeinElement(self.ring, self.d, coords)
 
     def __sub__(self, other: "OrderedSkeinElement") -> "OrderedSkeinElement":
-        self._check(other)
-        return self + other.scale(-self.ring.one)
+        return self + OrderedSkeinElement(other.ring, other.d, {bits: -c for bits, c in other.coords.items()})
 
     def scale(self, factor) -> "OrderedSkeinElement":
         """Multiply every coordinate by a polynomial or localized scalar."""
@@ -177,26 +170,18 @@ class SkeinPolynomial:
 
     def __add__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
         _same_ring(self.ring, other.ring)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        return SkeinPolynomial(self.ring, out)
+        return SkeinPolynomial(self.ring, _sum_by_key(self.ring, [*self.coeffs.items(), *other.coeffs.items()]))
 
     def __sub__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
-        _same_ring(self.ring, other.ring)
-        return self + other.scale(-self.ring.one)
+        return self + SkeinPolynomial(other.ring, {key: -c for key, c in other.coeffs.items()})
 
     def __mul__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
         _same_ring(self.ring, other.ring)
-        out: dict[tuple[int, int], LocalizedScalar] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                c = c1 * c2
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-        return SkeinPolynomial(self.ring, out)
+        return SkeinPolynomial(self.ring, _sum_by_key(self.ring, [
+            ((i1 + i2, j1 + j2), c1 * c2)
+            for (i1, j1), c1 in self.coeffs.items()
+            for (i2, j2), c2 in other.coeffs.items()
+        ]))
 
     def scale(self, factor) -> "SkeinPolynomial":
         return SkeinPolynomial(
@@ -230,6 +215,14 @@ class SkeinPolynomial:
 
     def __repr__(self) -> str:
         return f"SkeinPolynomial[{self}]"
+
+
+def _sum_by_key(ring: Ring, pairs: list) -> dict:
+    """Sum (key, localized scalar) pairs per key, one normal form per key that repeats."""
+    groups: dict = {}
+    for key, c in pairs:
+        groups.setdefault(key, []).append(c)
+    return {key: cs[0] if len(cs) == 1 else _sum(ring, cs) for key, cs in groups.items()}
 
 
 def _basis_str(i: int, j: int) -> str:
@@ -311,12 +304,7 @@ def _axis_pass(ring: Ring, vec: list[dict], d: int, c: LaurentPoly) -> list[dict
 
 def _numerators(ring: Ring, values: list) -> tuple[list[dict], int]:
     """Packed numerators of polynomials or localized scalars over one D^k, and k."""
-    pairs = []
-    for value in values:
-        _same_ring(value.ring, ring)
-        pairs.append((value, 0) if isinstance(value, LaurentPoly) else (value.num, value.dpow))
-    k = max((dpow for _, dpow in pairs), default=0)
-    nums = (num * ring.denom_pow(k - dpow) if dpow < k else num for num, dpow in pairs)
+    nums, k = _over_common_denom(ring, values)
     return [{_ZERO + s: c for s, c in _pack(num)} for num in nums], k
 
 
@@ -392,17 +380,14 @@ def star(a: OrderedSkeinElement, b: OrderedSkeinElement) -> OrderedSkeinElement:
 def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
     """Sum coordinates over patterns with i zeros and j ones onto X^i Y^j.
 
-    No CLI path projects: ``invariant`` sums the weight sums instead.
+    The coordinates of each X^i Y^j are put over one D^k and reduced
+    once.  No CLI path projects: ``invariant`` sums the weight sums instead.
     ``project_unordered(solve_coordinates(...))`` is the reference that
     the tests and the check suites compare ``invariant`` against.
     """
-    out: dict[tuple[int, int], LocalizedScalar] = {}
-    for bits, c in element.coords.items():
-        ones = sum(bits)
-        key = (element.d - ones, ones)
-        s = out.get(key)
-        out[key] = c if s is None else s + c
-    return SkeinPolynomial(element.ring, out)
+    d = element.d
+    pairs = [((d - (ones := sum(bits)), ones), c) for bits, c in element.coords.items()]
+    return SkeinPolynomial(element.ring, _sum_by_key(element.ring, pairs))
 
 
 def invariant(

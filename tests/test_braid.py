@@ -40,6 +40,8 @@ def test_parse_pinned():
     assert (w.strands, w.letters) == (2, ((SING, 1), (POS, 1)))
     w = parse_word("3: s1 s2^-1 t1")
     assert (w.strands, w.letters) == (3, ((POS, 1), (NEG, 2), (SING, 1)))
+    # The colon may stand as a token of its own.
+    assert parse_link("3 : s1") == parse_link("3: s1")
 
 
 def test_parse_empty_word():
@@ -98,6 +100,8 @@ def test_word_validation():
         SingularBraidWord(2, ((5, 1),))
     with pytest.raises(ValueError, match=r"^ordering must be a permutation of 1\.\.1, got \(2,\)$"):
         OrderedSingularLink(parse_word("2: t1"), (2,))
+    with pytest.raises(ValueError, match="^letters need at least two strands$"):
+        random_word(random.Random(0), strands=1, classical=0, sing=1)
     # Words and links are immutable values; list letters and labels are
     # normalized to tuples.
     word = SingularBraidWord(2, [[POS, 1]])

@@ -307,13 +307,27 @@ def test_homfly_json(capsys):
         assert json.loads(out) == {"d": 0, "coeffs": [{"i": 0, "j": 0, "num": num, "dpow": 0}]}
 
 
-def test_check_json(capsys):
+def test_check_json(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "star", "--json", "--seed", "9")
     assert code == 0
     (report,) = json.loads(out)
     assert report["suite"] == "star"
     assert report["failures"] == 0
     assert report["seed"] == 9
+    # A wrong reference fails the oracle suite on its first word, the
+    # empty 1-strand closure.
+    from skeinforge import checks
+
+    monkeypatch.setattr(checks, "homfly_reference", lambda word, ring: ring.zero)
+    code, out, _ = run(capsys, "check", "oracle", "--json")
+    assert code == 1
+    assert json.loads(out) == [
+        {"suite": "oracle", "cases": 1, "failures": 1, "seed": 0, "counterexample": "word = 1:"}
+    ]
+    code, out, _ = run(capsys, "check", "oracle")
+    assert (code, out) == (
+        1, "suite oracle: 1 cases, 1 failures (seed 0) FAIL\n  first counterexample: word = 1:\n"
+    )
 
 
 ROADMAP_WORD = "5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1"

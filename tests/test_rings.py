@@ -369,6 +369,48 @@ def test_localized_arith_properties(data, k1, k2):
     assert s1 - s1 == ring.scalar_zero
 
 
+def scalar_lists():
+    # Numerators n D^j over D^dpow, so the drawn scalars' normal forms
+    # have mixed powers; ``close`` appends the scalar that makes the sum
+    # m, whose D^k then divides out entirely.
+    return st.sampled_from((GENERIC, CONWAY, gf(5))).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            st.lists(
+                st.tuples(poly_strategy(ring), st.integers(0, 2), st.integers(0, 4)), max_size=6
+            ),
+            st.booleans(),
+            poly_strategy(ring),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_lists())
+def test_sum_matches_numerators_reduced_by_exact_div(data):
+    ring, drawn, close, m = data
+    scalars = [ring.scalar(n * ring.denom_pow(j), dpow) for n, j, dpow in drawn]
+
+    def over_common_power(values):
+        k = max((s.dpow for s in values), default=0)
+        total = ring.zero
+        for s in values:
+            total = total + s.num * ring.denom_pow(k - s.dpow)
+        return total, k
+
+    if close:
+        total, k = over_common_power(scalars)
+        scalars.append(ring.scalar(m * ring.denom_pow(k) - total, k))
+    total, k = over_common_power(scalars)
+    expected = _reduce_by_exact_div(ring, total, k)
+    if close:
+        assert expected == (m, 0)
+    got = rings._sum(ring, scalars)
+    assert (got.num, got.dpow) == expected
+    # Adding one value at a time, with a normal form per addition, agrees.
+    assert sum(scalars, ring.scalar_zero) == got
+
+
 @settings(max_examples=150, deadline=None)
 @given(mode_triples(), st.integers(0, 3), st.integers(0, 3))
 def test_localized_equality_matches_cross_multiplication(data, k1, k2):
@@ -447,5 +489,7 @@ def test_ring_registry_shares_instances():
 def test_localized_requires_matching_ring():
     with pytest.raises(ValueError):
         LocalizedScalar(GENERIC, gf(5).one, 0)
+    with pytest.raises(ValueError, match="^denominator exponent must be nonnegative$"):
+        GENERIC.scalar(GENERIC.one, -1)
     with pytest.raises(ValueError):
         GENERIC.scalar_one + gf(5).scalar_one

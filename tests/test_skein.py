@@ -30,13 +30,14 @@ from skeinforge import (
     solve_coordinates,
     star,
 )
-from skeinforge import skein
+from skeinforge import rings, skein
 from skeinforge.braid import random_word
 from skeinforge.engine import _ZERO, _decode
 from skeinforge.skein import _unordered_numerators
 
 R = GENERIC
 MODES = (GENERIC, CONWAY, gf(2), gf(3), gf(5))
+D10_WORD = "5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1"
 
 
 def unit_element(ring, bits):
@@ -129,8 +130,7 @@ def test_eval_vector_work_count_of_the_d10_word(monkeypatch, ring, work):
             runs.append(self)
 
     monkeypatch.setattr(skein, "_Pass", Counted)
-    link = parse_link("5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1")
-    eval_vector(link, ring)
+    eval_vector(parse_link(D10_WORD), ring)
     assert [run.work for run in runs] == [work]
 
 
@@ -239,6 +239,15 @@ def test_containers_refuse_values_of_another_ring():
     assert SkeinPolynomial(R, {}) != SkeinPolynomial(CONWAY, {})
     assert OrderedSkeinElement(R, 1, {(0,): R.scalar_zero}).is_zero
     assert not unit_element(R, (0,)).is_zero
+    # Malformed keys are refused too.
+    with pytest.raises(ValueError, match=r"^bad pattern \(0, 2\) for degree 2$"):
+        OrderedSkeinElement(R, 2, {(0, 2): R.scalar_one})
+    with pytest.raises(ValueError, match="^degrees differ: 1 vs 2$"):
+        unit_element(R, (0,)) + unit_element(R, (0, 1))
+    with pytest.raises(ValueError, match="^degrees differ: 1 vs 2$"):
+        unit_element(R, (0,)) - unit_element(R, (0, 1))
+    with pytest.raises(ValueError, match=r"^bad exponent pair \(-1, 0\)$"):
+        SkeinPolynomial(R, {(-1, 0): R.scalar_one})
 
 
 def test_project_unordered():
@@ -249,6 +258,21 @@ def test_project_unordered():
         R, 2, {(0, 1): R.scalar_one, (1, 0): R.scalar_one}
     )
     assert project_unordered(two) == SkeinPolynomial(R, {(1, 1): R.scalar(R.monomial(2))})
+
+
+def test_projection_reduces_each_monomial_once(monkeypatch):
+    # The d = 10 word's 1,024 coordinates fall on at most 11 monomials
+    # X^i Y^j, and each sum is put in normal form once; a normal form per
+    # addition would take 1,013.
+    link = parse_link(D10_WORD)
+    ordered = invariant_ordered(link, R)
+    calls = []
+    reduce = rings._reduce_fraction
+    monkeypatch.setattr(rings, "_reduce_fraction", lambda *args: calls.append(1) or reduce(*args))
+    projected = project_unordered(ordered)
+    assert len(calls) <= len({sum(bits) for bits in ordered.coords}) <= link.d + 1
+    monkeypatch.undo()
+    assert projected == invariant(link, R)
 
 
 def test_project_is_an_algebra_map():
