@@ -11,6 +11,8 @@ mixing values of different rings raises ``ValueError``, and
 ``specialize`` (or ``specialize_scalar``) is the only way to move a
 value from one ring into another.
 
+The package exports ``__version__``, the ``__all__`` of each module it
+imports below, and the names in ``_LAZY``.
 Importing the package loads only what ``invariant`` and ``homfly`` run.
 The check suites and the reference evaluator load on first use of the
 names in ``_LAZY``.
@@ -18,104 +20,12 @@ names in ``_LAZY``.
 
 __version__ = "0.1.0"
 
-from .braid import (
-    NEG,
-    POS,
-    SING,
-    UNKNOT,
-    X,
-    Y,
-    Y_PRIME,
-    OrderedSingularLink,
-    SingularBraidWord,
-    all_patterns,
-    components_unionfind,
-    connected_sum,
-    parse_link,
-    parse_word,
-    permute_bits,
-    reorder,
-    resolve_all,
-    split_union,
-)
-from .errors import BoundError, ParseError, PreconditionError, SkeinforgeError
-from .engine import DEFAULT_MAX_CROSSINGS, clear_cache, homfly
-from .rings import (
-    CONWAY,
-    GENERIC,
-    LaurentPoly,
-    LocalizedScalar,
-    Ring,
-    exact_div,
-    gf,
-    specialize,
-    specialize_scalar,
-)
-from .skein import (
-    DEFAULT_MAX_SING,
-    OrderedSkeinElement,
-    SkeinPolynomial,
-    apply_cube,
-    eval_vector,
-    invariant,
-    invariant_ordered,
-    project_unordered,
-    solve_coordinates,
-    star,
-)
-
-__all__ = [
-    "__version__",
-    "POS",
-    "NEG",
-    "SING",
-    "X",
-    "Y",
-    "Y_PRIME",
-    "UNKNOT",
-    "SingularBraidWord",
-    "OrderedSingularLink",
-    "parse_word",
-    "parse_link",
-    "resolve_all",
-    "connected_sum",
-    "split_union",
-    "reorder",
-    "permute_bits",
-    "all_patterns",
-    "components_unionfind",
-    "LaurentPoly",
-    "LocalizedScalar",
-    "Ring",
-    "GENERIC",
-    "CONWAY",
-    "gf",
-    "exact_div",
-    "specialize",
-    "specialize_scalar",
-    "homfly",
-    "clear_cache",
-    "homfly_reference",
-    "DEFAULT_MAX_CROSSINGS",
-    "DEFAULT_MAX_SING",
-    "OrderedSkeinElement",
-    "SkeinPolynomial",
-    "eval_vector",
-    "solve_coordinates",
-    "apply_cube",
-    "invariant_ordered",
-    "invariant",
-    "star",
-    "project_unordered",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "run_suite",
-    "run_suites",
-    "SkeinforgeError",
-    "ParseError",
-    "BoundError",
-    "PreconditionError",
-]
+from . import braid, engine, errors, rings, skein
+from .braid import *
+from .engine import *
+from .errors import *
+from .rings import *
+from .skein import *
 
 # Served by __getattr__ (PEP 562), so a plain start does not load them.
 _LAZY = {
@@ -125,6 +35,8 @@ _LAZY = {
     "run_suites": "checks",
     "homfly_reference": "oracle",
 }
+
+__all__ = ["__version__", *braid.__all__, *engine.__all__, *errors.__all__, *rings.__all__, *skein.__all__, *_LAZY]
 
 
 def __getattr__(name: str):

@@ -78,14 +78,7 @@ from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring, _canonical, _same_ring
 
-__all__ = [
-    "DEFAULT_MAX_CROSSINGS",
-    "MAX_STRANDS",
-    "MAX_WORK",
-    "homfly",
-    "weight_sums",
-    "clear_cache",
-]
+__all__ = ["DEFAULT_MAX_CROSSINGS", "homfly", "clear_cache"]
 
 DEFAULT_MAX_CROSSINGS = 24
 # "2048: s1" answers in about 2 s: each free strand costs a delta factor.
@@ -163,7 +156,8 @@ def weight_sums(word: SingularBraidWord, ring: Ring) -> list[LaurentPoly]:
     Resolving the d singular letters gives 2^d classical closures; S_g
     is the sum over those whose pattern has g ones.  Raises
     ``BoundError`` above MAX_STRANDS declared strands, above 65535
-    singular letters or above MAX_WORK state terms.
+    singular letters or above MAX_WORK state terms.  No subcommand calls
+    this (``invariant`` reads the packed sums); the tests do.
     """
     return [_decode(ring, s) for s in _packed_sums(word, ring)]
 

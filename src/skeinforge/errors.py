@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: parse errors exit 2, bound
 violations exit 3, precondition violations exit 4.
 """
 
+__all__ = ["SkeinforgeError", "ParseError", "BoundError", "PreconditionError"]
+
 
 class SkeinforgeError(Exception):
     pass

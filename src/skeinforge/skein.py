@@ -59,7 +59,6 @@ from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _o
 
 __all__ = [
     "DEFAULT_MAX_SING",
-    "MAX_CUBE_WORK",
     "OrderedSkeinElement",
     "SkeinPolynomial",
     "eval_vector",
@@ -269,6 +268,8 @@ def eval_vector(
 
     The 2^d passes share one trace table and one work count, so more
     than MAX_CUBE_WORK terms over all of them raise ``BoundError``.
+    No subcommand calls this (``--ordered`` keeps the values packed);
+    the tests and the benchmark corpus's cross-check do.
     """
     values = _packed_values(link, ring, max_sing, max_crossings)
     return {bits: _decode(ring, v) for bits, v in zip(all_patterns(link.d), values)}
@@ -317,6 +318,8 @@ def solve_coordinates(
     inverted on numerators by M(-delta) (module docstring): O(d 2^d)
     polynomial operations with no division.  Each numerator times B^d is
     put in normal form once, over D^(d + k) for a common D^k of the values.
+    No subcommand calls this (``invariant_ordered`` solves packed values);
+    the tests, the benchmark corpus's cross-check and its replay do.
     """
     if not values:
         raise ValueError("values must contain the empty pattern at least")
@@ -381,7 +384,8 @@ def project_unordered(element: OrderedSkeinElement) -> SkeinPolynomial:
     """Sum coordinates over patterns with i zeros and j ones onto X^i Y^j.
 
     The coordinates of each X^i Y^j are put over one D^k and reduced
-    once.  No CLI path projects: ``invariant`` sums the weight sums instead.
+    once.  Neither ``invariant`` nor ``homfly`` projects: ``invariant``
+    sums the weight sums instead.
     ``project_unordered(solve_coordinates(...))`` is the reference that
     the tests and the check suites compare ``invariant`` against.
     """

@@ -484,8 +484,32 @@ def test_import_leaves_out_multiprocessing():
     assert result.stdout == "1\n[]\n"
 
 
+PUBLIC_NAMES = [
+    "BoundError", "CONWAY", "DEFAULT_MAX_CROSSINGS", "DEFAULT_MAX_SING", "GENERIC", "LaurentPoly",
+    "LocalizedScalar", "NEG", "OrderedSingularLink", "OrderedSkeinElement", "POS", "ParseError",
+    "PreconditionError", "Ring", "SING", "SUITE_NAMES", "SingularBraidWord", "SkeinPolynomial",
+    "SkeinforgeError", "SuiteReport", "UNKNOT", "X", "Y", "Y_PRIME", "__version__", "all_patterns",
+    "apply_cube", "clear_cache", "components_unionfind", "connected_sum", "eval_vector", "exact_div",
+    "gf", "homfly", "homfly_reference", "invariant", "invariant_ordered", "parse_link", "parse_word",
+    "permute_bits", "project_unordered", "reorder", "resolve_all", "run_suite", "run_suites",
+    "solve_coordinates", "specialize", "specialize_scalar", "split_union", "star",
+]
+
+
 def test_lazy_names_are_the_modules_own():
-    from skeinforge import checks, oracle
+    from skeinforge import braid, checks, engine, errors, oracle, rings, skein
+
+    # The package exports its eager modules' __all__, each name listed once.
+    assert sorted(skeinforge.__all__) == PUBLIC_NAMES
+    eager = (braid, engine, errors, rings, skein)
+    listed = [(name, module) for module in eager for name in module.__all__]
+    assert len({name for name, _ in listed}) == len(listed) == 44
+    for name, module in listed:
+        assert getattr(skeinforge, name) is getattr(module, name)
+    assert set(skeinforge.__all__) == {"__version__", *(name for name, _ in listed), *skeinforge._LAZY}
+    ns = {}
+    exec("from skeinforge import *", ns)
+    assert all(ns[name] is getattr(skeinforge, name) for name in skeinforge.__all__)
 
     for name in ("SUITE_NAMES", "SuiteReport", "run_suite", "run_suites"):
         assert getattr(skeinforge, name) is getattr(checks, name)
