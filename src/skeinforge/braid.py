@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import product
+from itertools import islice, product
 
 from .errors import ParseError, PreconditionError
 
@@ -62,6 +62,14 @@ class _Value:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _raw(cls, *values):
+        # Internal fast path: the values of ``__slots__``, already valid.
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -88,15 +96,20 @@ class _Value:
 
 
 class SingularBraidWord(_Value):
-    """A word on ``strands`` strands; ``letters`` is a tuple of (kind, index)."""
+    """A word on ``strands`` strands; ``letters`` is a tuple of (kind, index).
 
-    __slots__ = ("strands", "letters")
-    _fields = __slots__
+    ``sing_count``, the number of singular letters, is counted once, as
+    the word is built; the letters determine it, so it is not a field.
+    """
+
+    __slots__ = ("strands", "letters", "sing_count")
+    _fields = __slots__[:2]
 
     def __init__(self, strands: int, letters: Iterable[Letter] = ()):
         if strands < 1:
             raise ValueError("a braid needs at least one strand")
         clean = tuple((int(k), int(i)) for k, i in letters)
+        d = 0
         for kind, i in clean:
             if kind not in (POS, NEG, SING):
                 raise ValueError(f"unknown letter kind {kind}")
@@ -104,15 +117,13 @@ class SingularBraidWord(_Value):
                 raise ValueError(
                     f"letter index {i} out of range for {strands} strands"
                 )
-        self._set(strands=strands, letters=clean)
-
-    @property
-    def sing_count(self) -> int:
-        return sum(1 for kind, _ in self.letters if kind == SING)
+            if kind == SING:
+                d += 1
+        self._set(strands=strands, letters=clean, sing_count=d)
 
     @property
     def is_classical(self) -> bool:
-        return all(kind != SING for kind, _ in self.letters)
+        return not self.sing_count
 
     def components(self) -> int:
         """Number of components of the braid closure: cycles of the strand permutation."""
@@ -186,77 +197,79 @@ class OrderedSingularLink(_Value):
         return self.render()
 
 
-# Numbers are ASCII digits only: \d and str.isdigit also match other
-# scripts' digits (read as values) and superscripts like "²" (which int()
-# rejects).
-_HEAD_RE = re.compile(r"([0-9]+):")
-_LETTER_RE = re.compile(r"([st])([0-9]+)(\^-1)?")
-
-
 def _is_nat(tok: str) -> bool:
+    # ASCII digits only: str.isdigit alone also takes other scripts'
+    # digits (read as values) and superscripts like "²" (which int()
+    # rejects).
     return tok.isascii() and tok.isdigit()
 
 
+def _offset(text: str, k: int) -> int:
+    """The character offset of the k-th whitespace-separated token of ``text``."""
+    return next(islice(re.finditer(r"\S+", text), k, None)).start()
+
+
 def parse_link(text: str) -> OrderedSingularLink:
-    """Parse the full grammar, including the optional label suffix."""
+    """Parse the full grammar, including the optional label suffix.
+
+    One pass over the tokens, each distinct letter checked once (a word
+    repeats few); a token's character offset is worked out only when it
+    is refused.
+    """
     head_part, bar, tail_part = text.partition("|")
-    tokens = [(m.group(0), m.start()) for m in re.finditer(r"\S+", head_part)]
+    tokens = head_part.split()
     if not tokens:
         raise ParseError("expected a strand count like '3:'", 0)
-
-    tok, off = tokens[0]
-    rest = tokens[1:]
-    m = _HEAD_RE.fullmatch(tok)
-    if m is None:
-        # Allow the colon as a separate token.
-        if _is_nat(tok) and rest and rest[0][0] == ":":
-            m_strands = int(tok)
-            rest = rest[1:]
-        else:
-            raise ParseError(f"expected a strand count like '3:', got {tok!r}", off)
+    head = tokens[0]
+    if head[-1] == ":" and _is_nat(head[:-1]):
+        strands, start = int(head[:-1]), 1
+    elif _is_nat(head) and tokens[1:2] == [":"]:
+        # The colon may stand as a token of its own.
+        strands, start = int(head), 2
     else:
-        m_strands = int(m.group(1))
-    if m_strands < 1:
-        raise ParseError("strand count must be at least 1", off)
+        raise ParseError(f"expected a strand count like '3:', got {head!r}", _offset(head_part, 0))
+    if strands < 1:
+        raise ParseError("strand count must be at least 1", _offset(head_part, 0))
 
+    seen: dict[str, Letter] = {}
     letters: list[Letter] = []
-    for tok, off in rest:
-        lm = _LETTER_RE.fullmatch(tok)
-        if lm is None:
-            raise ParseError(f"bad letter {tok!r}", off)
-        sym, num, inv = lm.group(1), int(lm.group(2)), lm.group(3)
-        if not 1 <= num <= m_strands - 1:
-            raise ParseError(
-                f"letter index {num} out of range for {m_strands} strands", off
-            )
-        if sym == "t":
-            if inv:
-                raise ParseError("singular crossings are unsigned; 't' takes no ^-1", off)
-            letters.append((SING, num))
-        else:
-            letters.append((NEG, num) if inv else (POS, num))
+    append = letters.append
+    for tok in tokens[start:]:
+        letter = seen.get(tok)
+        if letter is None:
+            inv = tok.endswith("^-1")
+            num = tok[1:-3] if inv else tok[1:]
+            sym = tok[0]
+            if sym not in "st" or not _is_nat(num):
+                error = f"bad letter {tok!r}"
+            elif not 0 < (i := int(num)) < strands:
+                error = f"letter index {i} out of range for {strands} strands"
+            elif sym == "t" and inv:
+                error = "singular crossings are unsigned; 't' takes no ^-1"
+            else:
+                letter = seen[tok] = (SING if sym == "t" else NEG if inv else POS, i)
+            if letter is None:
+                # The token's first copy: later ones are read from ``seen``.
+                raise ParseError(error, _offset(head_part, tokens.index(tok, start)))
+        append(letter)
+    d = sum(1 for kind, _ in letters if kind == SING)
+    word = SingularBraidWord._raw(strands, tuple(letters), d)
 
-    word = SingularBraidWord(m_strands, tuple(letters))
-
-    ordering: tuple[int, ...] | None = None
-    if bar:
-        base = len(head_part) + 1
-        suffix = [(m.group(0), base + m.start()) for m in re.finditer(r"\S+", tail_part)]
-        if len(suffix) < 2 or suffix[0][0] != "o" or suffix[1][0] != "=":
-            pos = suffix[0][1] if suffix else base
-            raise ParseError("label suffix must look like '| o = 2 1 3'", pos)
-        labels = []
-        for tok, off in suffix[2:]:
-            if not _is_nat(tok):
-                raise ParseError(f"labels must be positive integers, got {tok!r}", off)
-            labels.append(int(tok))
-        d = word.sing_count
-        if sorted(labels) != list(range(1, d + 1)):
-            pos = suffix[2][1] if len(suffix) > 2 else base
-            raise ParseError(f"labels must be a permutation of 1..{d}", pos)
-        ordering = tuple(labels)
-
-    return OrderedSingularLink(word, ordering)
+    if not bar:
+        return OrderedSingularLink._raw(word, tuple(range(1, d + 1)))
+    base = len(head_part) + 1
+    suffix = tail_part.split()
+    if suffix[:2] != ["o", "="]:
+        pos = base + _offset(tail_part, 0) if suffix else base
+        raise ParseError("label suffix must look like '| o = 2 1 3'", pos)
+    for k, tok in enumerate(suffix[2:], 2):
+        if not _is_nat(tok):
+            raise ParseError(f"labels must be positive integers, got {tok!r}", base + _offset(tail_part, k))
+    labels = tuple(map(int, suffix[2:]))
+    if sorted(labels) != list(range(1, d + 1)):
+        pos = base + _offset(tail_part, 2) if labels else base
+        raise ParseError(f"labels must be a permutation of 1..{d}", pos)
+    return OrderedSingularLink._raw(word, labels)
 
 
 def parse_word(text: str) -> SingularBraidWord:

@@ -230,12 +230,16 @@ class _Pass:
     __slots__ = ("p", "steps", "delta", "table", "work", "limit", "refusal")
 
     def __init__(self, ring: Ring, table: dict, limit: int | None = None, what: str = "the Hecke pass exceeds"):
-        self.p = ring.p
+        p = self.p = ring.p
+        # As ``_pack`` would give them: t's packed shift (t folds to 1 in
+        # conway) and -1 as a residue over GF(p).
+        t = 0 if ring.conway else 1 << _F
+        minus = p - 1 if p else -1
         # The skein steps: smoothing and switching a positive crossing,
         # t x and t^2, then a negative one, -t^(-1) x and t^(-2).
-        monomials = ((1, 1, 1), (1, 2, 0), (-1, -1, 1), (1, -2, 0))
-        self.steps = tuple(pair for m in monomials for pair in _pack(ring.monomial(*m)))
-        self.delta = _pack(ring.delta)
+        self.steps = ((t + 1, 1), (2 * t, 1), (1 - t, minus), (-2 * t, 1))
+        # delta = t^(-1) x^(-1) - t x^(-1), which is 0 in conway.
+        self.delta = [(-t - 1, 1), (t - 1, minus)] if t else []
         self.table = table
         self.work = 0
         self.limit = MAX_WORK if limit is None else limit

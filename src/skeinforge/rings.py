@@ -566,7 +566,14 @@ def _over_common_denom(ring: Ring, values: Iterable) -> tuple[list[LaurentPoly],
 def _sum(ring: Ring, values: Iterable) -> LocalizedScalar:
     """The sum of polynomials or localized scalars of ``ring``, in one normal form."""
     nums, k = _over_common_denom(ring, values)
-    return LocalizedScalar(ring, LaurentPoly(ring, (item for num in nums for item in num.terms.items())), k)
+    # Each numerator is a canonical value of ``ring``, so its keys need
+    # no folding: only the sum's zeros and residues do.
+    acc: dict[tuple[int, int], int] = {}
+    get = acc.get
+    for num in nums:
+        for key, c in num.terms.items():
+            acc[key] = get(key, 0) + c
+    return LocalizedScalar(ring, LaurentPoly._raw(ring, _canonical(acc, ring.p)), k)
 
 
 def specialize(poly: LaurentPoly, target: Ring) -> LaurentPoly:

@@ -55,24 +55,84 @@ def test_parse_ordering_suffix():
     assert parse_link("3: t1 t2").ordering == (1, 2)
 
 
+# Every ParseError branch of parse_link, with its message and position:
+# the head, the letters, then the label suffix.
+PARSE_ERRORS = [
+    ("", "expected a strand count like '3:'", 0),
+    ("   ", "expected a strand count like '3:'", 0),
+    ("| o = 1", "expected a strand count like '3:'", 0),
+    ("x: s1", "expected a strand count like '3:', got 'x:'", 0),
+    ("  x: s1", "expected a strand count like '3:', got 'x:'", 2),
+    ("3 s1", "expected a strand count like '3:', got '3'", 0),
+    ("3:s1", "expected a strand count like '3:', got '3:s1'", 0),
+    ("0:", "strand count must be at least 1", 0),
+    (" 0 : s1", "strand count must be at least 1", 1),
+    ("00:", "strand count must be at least 1", 0),
+    ("3: : s1", "bad letter ':'", 3),
+    ("2: s1 zap", "bad letter 'zap'", 6),
+    ("3 : s1 s2^-2", "bad letter 's2^-2'", 7),
+    ("3: s1 t", "bad letter 't'", 6),
+    ("3: S1", "bad letter 'S1'", 3),
+    ("2: s\u0661", "bad letter 's\u0661'", 3),
+    ("2: s5", "letter index 5 out of range for 2 strands", 3),
+    ("2: s0", "letter index 0 out of range for 2 strands", 3),
+    # The first of two equal tokens is the one refused.
+    ("3: s1 s4 s2 s4", "letter index 4 out of range for 3 strands", 6),
+    ("4: t1 s3^-1 s4^-1", "letter index 4 out of range for 4 strands", 12),
+    # The index is checked before the sign of a singular letter.
+    ("2: t3^-1", "letter index 3 out of range for 2 strands", 3),
+    ("2: t1^-1", "singular crossings are unsigned; 't' takes no ^-1", 3),
+    ("3: s1 t2 t2^-1", "singular crossings are unsigned; 't' takes no ^-1", 9),
+    ("2: t1 | order 1", "label suffix must look like '| o = 2 1 3'", 8),
+    ("2: t1 |", "label suffix must look like '| o = 2 1 3'", 7),
+    ("2: t1 | o 1", "label suffix must look like '| o = 2 1 3'", 8),
+    ("2: t1 |o= 1", "label suffix must look like '| o = 2 1 3'", 7),
+    ("2: t1 | o = a", "labels must be positive integers, got 'a'", 12),
+    ("3: t1 t2 | o = 1 -2", "labels must be positive integers, got '-2'", 17),
+    ("2: t1 | o = \u00b2", "labels must be positive integers, got '\u00b2'", 12),
+    ("2: t1 | o = 2", "labels must be a permutation of 1..1", 12),
+    ("3: t1 t2 | o =", "labels must be a permutation of 1..2", 10),
+    ("3: t1 t2 | o = 1 1", "labels must be a permutation of 1..2", 15),
+    ("2: s1 | o = 1", "labels must be a permutation of 1..0", 12),
+]
+
+
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as err:
-        parse_word("2: s1 zap")
-    assert err.value.position == 6
-    with pytest.raises(ParseError):
-        parse_word("")
-    with pytest.raises(ParseError):
-        parse_word("x: s1")
-    with pytest.raises(ParseError):
-        parse_word("0:")
-    with pytest.raises(ParseError):
-        parse_word("2: s5")  # index out of range
-    with pytest.raises(ParseError):
-        parse_word("2: t1^-1")  # singular crossings are unsigned
-    with pytest.raises(ParseError):
-        parse_link("2: t1 | o = 2")  # not a permutation of 1..1
-    with pytest.raises(ParseError):
-        parse_link("2: t1 | order 1")
+    for text, message, position in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_link(text)
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position), text
+
+
+def test_parse_matches_generated_letters():
+    # Texts written from known letters and labels, with varied
+    # whitespace, the split "3 : s1" head and an optional suffix, parse
+    # back to exactly those letters and labels.
+    rng = random.Random(5)
+    spellings = {POS: "s{}", NEG: "s{}^-1", SING: "t{}"}
+
+    def gap():
+        return rng.choice((" ", "  ", "\t", "\n "))
+
+    for _ in range(500):
+        strands = rng.randint(1, 12)
+        letters = tuple(
+            (rng.choice((POS, NEG, SING)), rng.randint(1, strands - 1))
+            for _ in range(rng.randint(0, 24) if strands > 1 else 0)
+        )
+        d = sum(1 for kind, _ in letters if kind == SING)
+        labels = list(range(1, d + 1))
+        rng.shuffle(labels)
+        text = rng.choice(("", " ")) + str(strands) + rng.choice((":", " :", "  :")) + gap()
+        text += gap().join(spellings[kind].format(i) for kind, i in letters)
+        suffix = rng.random() < 0.5
+        if suffix:
+            text += gap() + "|" + gap() + "o" + gap() + "=" + gap() + gap().join(map(str, labels))
+        link = parse_link(text)
+        assert (link.word.strands, link.word.letters) == (strands, letters), text
+        assert link.ordering == (tuple(labels) if suffix else tuple(range(1, d + 1))), text
+        assert link.d == link.word.sing_count == d, text
+        assert link == OrderedSingularLink(SingularBraidWord(strands, letters), link.ordering)
 
 
 def test_render_round_trip():

@@ -371,6 +371,16 @@ def test_weight_sums_refuse_what_the_packed_key_cannot_hold():
         engine.weight_sums(deep, R)
 
 
+@pytest.mark.parametrize("ring", [GENERIC, CONWAY, gf(2), gf(3), gf(5)], ids=lambda ring: ring.name)
+def test_skein_steps_are_the_packed_monomials(ring):
+    # _Pass packs its steps and delta by arithmetic; they are the ring's
+    # own monomials and delta, packed.
+    run = engine._Pass(ring, {})
+    monomials = ((1, 1, 1), (1, 2, 0), (-1, -1, 1), (1, -2, 0))
+    assert run.steps == tuple(pair for m in monomials for pair in engine._pack(ring.monomial(*m)))
+    assert run.delta == engine._pack(ring.delta)
+
+
 def inverse_runs(n, *tops):
     return parse_word(f"{n}: " + " ".join(f"s{i}^-1" for top in tops for i in range(1, top)))
 
