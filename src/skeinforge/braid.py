@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 POS, NEG, SING = 1, -1, 0
+# int() and str() refuse numbers of more digits, so numerals are judged by their text.
+_MAX_DIGITS = 4300
 
 Letter = tuple[int, int]
 
@@ -204,6 +206,12 @@ def _is_nat(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+def _nat_value(tok: str, digits: int) -> int | None:
+    """The value of an ASCII numeral, or None when it has more than ``digits`` significant digits."""
+    tok = tok.lstrip("0")
+    return int(tok or "0") if len(tok) <= digits else None
+
+
 def _offset(text: str, k: int) -> int:
     """The character offset of the k-th whitespace-separated token of ``text``."""
     return next(islice(re.finditer(r"\S+", text), k, None)).start()
@@ -222,14 +230,19 @@ def parse_link(text: str) -> OrderedSingularLink:
         raise ParseError("expected a strand count like '3:'", 0)
     head = tokens[0]
     if head[-1] == ":" and _is_nat(head[:-1]):
-        strands, start = int(head[:-1]), 1
+        count, start = head[:-1], 1
     elif _is_nat(head) and tokens[1:2] == [":"]:
         # The colon may stand as a token of its own.
-        strands, start = int(head), 2
+        count, start = head, 2
     else:
         raise ParseError(f"expected a strand count like '3:', got {head!r}", _offset(head_part, 0))
+    strands = _nat_value(count, _MAX_DIGITS)
+    if strands is None:
+        raise ParseError(f"strand count {count} has more than {_MAX_DIGITS} digits", _offset(head_part, 0))
     if strands < 1:
         raise ParseError("strand count must be at least 1", _offset(head_part, 0))
+    # An index with more digits than the strand count is out of range.
+    width = len(str(strands))
 
     seen: dict[str, Letter] = {}
     letters: list[Letter] = []
@@ -242,8 +255,8 @@ def parse_link(text: str) -> OrderedSingularLink:
             sym = tok[0]
             if sym not in "st" or not _is_nat(num):
                 error = f"bad letter {tok!r}"
-            elif not 0 < (i := int(num)) < strands:
-                error = f"letter index {i} out of range for {strands} strands"
+            elif (i := _nat_value(num, width)) is None or not 0 < i < strands:
+                error = f"letter index {num if i is None else i} out of range for {strands} strands"
             elif sym == "t" and inv:
                 error = "singular crossings are unsigned; 't' takes no ^-1"
             else:
@@ -265,8 +278,8 @@ def parse_link(text: str) -> OrderedSingularLink:
     for k, tok in enumerate(suffix[2:], 2):
         if not _is_nat(tok):
             raise ParseError(f"labels must be positive integers, got {tok!r}", base + _offset(tail_part, k))
-    labels = tuple(map(int, suffix[2:]))
-    if sorted(labels) != list(range(1, d + 1)):
+    labels = tuple(_nat_value(tok, len(str(d))) for tok in suffix[2:])
+    if None in labels or sorted(labels) != list(range(1, d + 1)):
         pos = base + _offset(tail_part, 2) if labels else base
         raise ParseError(f"labels must be a permutation of 1..{d}", pos)
     return OrderedSingularLink._raw(word, labels)

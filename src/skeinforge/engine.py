@@ -203,6 +203,25 @@ def _decode(ring: Ring, packed: dict) -> LaurentPoly:
     return LaurentPoly._raw(ring, {((e >> _F) - _BIAS, (e & mask) - _BIAS): c for e, c in packed.items()})
 
 
+def _rows(packed: dict, p: int | None, shift: int = 0, sign: int = 1) -> dict[int, dict]:
+    """sign x^shift times a {packed exponents: c} dict, as canonical t-rows {e_t: {e_x: c}}.
+
+    One pass reduces mod p over GF(p) and drops zeros, so ``packed`` need not be canonical.
+    """
+    mask = (1 << _F) - 1
+    x0 = _BIAS - shift
+    rows: dict[int, dict] = {}
+    get = rows.get
+    for e, c in packed.items():
+        if c := sign * c % p if p else sign * c:
+            e_t = (e >> _F) - _BIAS
+            row = get(e_t)
+            if row is None:
+                row = rows[e_t] = {}
+            row[(e & mask) - x0] = c
+    return rows
+
+
 def _times(terms, shifts: list, acc: dict | None = None) -> dict:
     """Packed (exponents, c) terms times (packed shift, coefficient) pairs, unreduced.
 

@@ -86,18 +86,9 @@ def _same_ring(a: "Ring", b: "Ring") -> None:
         raise ValueError(f"rings differ: {a.name} vs {b.name}")
 
 
-def _mono_str(e_t: int, e_x: int) -> str:
-    parts = []
-    for sym, e in (("t", e_t), ("x", e_x)):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(sym)
-        elif e > 0:
-            parts.append(f"{sym}^{e}")
-        else:
-            parts.append(f"{sym}^({e})")
-    return " ".join(parts)
+def _power(sym: str, e: int) -> str:
+    """The text of sym^e after a space, or "" for e = 0."""
+    return "" if not e else f" {sym}" if e == 1 else f" {sym}^{e}" if e > 0 else f" {sym}^({e})"
 
 
 class LaurentPoly:
@@ -188,12 +179,12 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         # Canonical order: descending in e_t, then ascending in e_x.
-        keys = sorted(self.terms, key=lambda k: (-k[0], k[1]))
         pieces = []
-        for k in keys:
-            mono = _mono_str(*k)
-            c = self.terms[k]
-            pieces.append(f"{c} {mono}" if mono else str(c))
+        last_t = t_text = None
+        for (e_t, e_x), c in sorted(self.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
+            if e_t != last_t:
+                last_t, t_text = e_t, _power("t", e_t)
+            pieces.append(f"{c}{t_text}{_power('x', e_x)}")
         return " + ".join(pieces)
 
     def __repr__(self) -> str:
@@ -210,8 +201,8 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     term costs O(log T); a popped key no longer in the remainder has
     cancelled since it was pushed and is skipped.
 
-    No CLI path divides with it: ``LocalizedScalar`` divides by D row by
-    row (``_reduce_fraction``).  It is kept as the independent reference
+    No CLI path divides with it: normal forms divide by D row by row
+    (``_scalar_of_rows``).  It is kept as the independent reference
     that the normal-form tests and ``bench/``'s kernel replay check
     against.
     """
@@ -300,6 +291,7 @@ class Ring:
         "x_inv",
         "delta",
         "denom",
+        "denom_rows",
         "scalar_zero",
         "scalar_one",
     )
@@ -339,6 +331,16 @@ class Ring:
         self.x_inv = self.monomial(1, 0, -1)
         self.delta = self.x_inv * (self.t_inv - self.t)
         self.denom = (self.t_inv - self.t - self.x) * (self.t_inv - self.t + self.x)
+        # -D's t-rows for ``_peel``: the top row's exponents and the inverse
+        # of D's unit there (a unit of the integers is its own), the t-offset
+        # and terms of each row below, and D's t-span.
+        rows: dict[int, list] = {}
+        for (e_t, e_x), c in self.denom.terms.items():
+            rows.setdefault(e_t, []).append((e_x, -c))
+        top = max(rows)
+        ((top_x, top_c),) = rows.pop(top)
+        lower = [(e_t - top, terms) for e_t, terms in rows.items()]
+        self.denom_rows = (top, top_x, pow(-top_c, -1, p) if p else -top_c, lower, top - min(rows, default=top))
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)
         self.scalar_one = LocalizedScalar._make(self, self.one, 0)
 
@@ -370,40 +372,39 @@ class Ring:
 
 
 def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPoly, int]:
-    """Normal form of num / D^dpow: divide D out of num while it divides exactly.
+    """Normal form of num / D^dpow, as (numerator, power of D): ``_scalar_of_rows`` on its t-rows."""
+    if not dpow:
+        return num, 0
+    rows: dict[int, dict] = {}
+    for (e_t, e_x), c in num.terms.items():
+        rows.setdefault(e_t, {})[e_x] = c
+    scalar = _scalar_of_rows(ring, rows, dpow)
+    return scalar.num, scalar.dpow
+
+
+def _scalar_of_rows(ring: Ring, rows: dict, dpow: int) -> "LocalizedScalar":
+    """Normal form of canonical t-rows {e_t: {e_x: c}} over D^dpow: divide D out while it divides.
 
     In every mode D's top t-row is one unit monomial u: t^2 in generic
     and GF(p), -x^2 in conway, where D is a unit.  So dividing by D peels
-    the numerator one t-row at a time, top down: the quotient's next row
-    is the remainder's top row divided by u (a shift and a sign), and D
-    times that row is subtracted from the rows below.  Once every row
-    with D's t-span beneath it is peeled, D divides exactly when no row
-    is left.  Nothing searches for a leading term.
+    the numerator one t-row at a time, top down (``_peel``), and nothing
+    searches for a leading term.
 
     After the first division, ``_off_denom`` evaluates the quotient at two
     zeros of D before each further one; a nonzero value proves that D
     does not divide, and only a zero there (or GF(2), GF(3) or conway)
-    runs the division.  The first division goes untested: the invariant's
-    numerators, with or without ``--ordered``, all divide at least once,
-    so a test there would only add cost.
+    runs the division.  The first division goes untested, as it always
+    succeeds on the numerators the package reduces.  At x = t^(-1) - t
+    (delta = 1) every link's value is 1, and at x = t - t^(-1)
+    (delta = -1) it is (-1)^(components - 1), so T_0 = sum_w c^w S_w,
+    c = -delta, vanishes on both factors of D whenever d >= 1, and the
+    invariant's numerator of X^(d-j) Y^j is B^d C(d, j) c^(d-j) T_0
+    modulo D.  Each ``--ordered`` coordinate is divisible the same way,
+    one tensor axis at a time.
     """
-    if not num.terms:
-        return ring.zero, 0
-    if not dpow:
-        return num, 0
+    if not rows:
+        return ring.scalar_zero
     p = ring.p
-    denom: dict[int, list] = {}
-    for (e_t, e_x), c in ring.denom.terms.items():
-        denom.setdefault(e_t, []).append((e_x, c))
-    top = max(denom)
-    ((top_x, top_c),) = denom.pop(top)
-    # A unit of the integers is its own inverse.
-    inv = pow(top_c, -1, p) if p else top_c
-    lower = [(e_t - top, terms) for e_t, terms in denom.items()]
-    span = top - min(denom, default=top)
-    rows: dict[int, dict] = {}
-    for (e_t, e_x), c in num.terms.items():
-        rows.setdefault(e_t, {})[e_x] = c
     # The certificate needs 2 and 3 to be units, so not GF(2) or GF(3);
     # in conway D is a unit and always divides.
     certify = not ring.conway and (p is None or p >= 5)
@@ -411,14 +412,12 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
     while dpow:
         if certify and dpow < start and _off_denom(rows, p):
             break
-        quot = _peel(rows, top, top_x, inv, lower, span, p)
+        quot = _peel(rows, *ring.denom_rows, p)
         if quot is None:
             break
         rows, dpow = quot, dpow - 1
-    if dpow == start:
-        return num, dpow
-    terms = {(e_t, e_x): c for e_t, row in rows.items() for e_x, c in row.items()}
-    return LaurentPoly._raw(ring, terms), dpow
+    num = LaurentPoly._raw(ring, {(e_t, e_x): c for e_t, row in rows.items() for e_x, c in row.items()})
+    return LocalizedScalar._make(ring, num, dpow)
 
 
 def _off_denom(rows: dict, p: int | None) -> bool:
@@ -453,26 +452,35 @@ def _off_denom(rows: dict, p: int | None) -> bool:
 def _peel(
     rows: dict, top: int, top_x: int, inv: int, lower: list, span: int, p: int | None
 ) -> dict | None:
-    """The t-rows of rows / D, top down, or None when D does not divide."""
+    """The t-rows of rows / D, or None when D does not divide.
+
+    Top down, each nonzero remainder row, times inv and shifted, is the
+    quotient's next row, and -D's lower rows times it are added into the
+    rows below, which are reduced mod p and cleared of zeros when read.
+    """
     low = min(rows)
+    # D's top is t^2 in generic and GF(p): a quotient row is the remainder's.
+    plain = inv == 1 and not top_x
+    rem: dict[int, dict] = {}
     quot: dict[int, dict] = {}
     for e_t in range(max(rows), low - 1, -1):
-        # The remainder's row e_t: the numerator's, less D times the
-        # quotient rows already found.
-        row = dict(rows.get(e_t, ()))
-        get = row.get
-        for shift, terms in lower:
-            q_row = quot.get(e_t - top - shift)
-            if q_row:
-                for e_x, c in q_row.items():
-                    for f_x, f in terms:
-                        key = e_x + f_x
-                        row[key] = get(key, 0) - c * f
+        row = rem.pop(e_t, None) or rows.get(e_t)
         if not row or not (row := _canonical(row, p)):
             continue
         if e_t < low + span:
             return None
-        quot[e_t - top] = {e_x - top_x: c * inv % p if p else c * inv for e_x, c in row.items()}
+        q_row = quot[e_t - top] = row if plain else {
+            e_x - top_x: c * inv % p if p else c * inv for e_x, c in row.items()
+        }
+        for shift, terms in lower:
+            target = rem.get(e_t + shift)
+            if target is None:
+                target = rem[e_t + shift] = dict(rows.get(e_t + shift, ()))
+            get = target.get
+            for f_x, f in terms:
+                for e_x, c in q_row.items():
+                    key = e_x + f_x
+                    target[key] = get(key, 0) + c * f
     return quot
 
 

@@ -14,7 +14,8 @@ axes.  As delta^2 - 1 is a unit, that is M(delta) with delta negated:
 
 so the solve runs ``apply_cube``'s butterfly with -delta on packed
 numerators (``engine._times``), and each coordinate, B^d (a key shift and
-a sign) times one of them over D^d, is decoded once for its normal form.
+a sign) times one of them over D^d, is read once into t-rows
+(``engine._rows``) for its normal form (``rings._scalar_of_rows``).
 
 Summing coordinates over patterns with d - j zeros and j ones projects
 onto the coefficient of X^(d-j) Y^j of the commutative polynomial
@@ -39,7 +40,7 @@ The sum is one homogeneous Horner pass in v = 1 + c z on the engine's
 packed terms (``_unordered_numerators``): d(d+1) products by the two-term
 c, half of them on the small S_w, and (d+1)(d+2)/2 binomial-scaled
 additions, with no binomial table.  B^d shifts the keys of each S_w once,
-and exponents are decoded once per output coefficient.
+and each output coefficient's exponents are read once, into t-rows.
 ``--ordered`` solves the packed resolution values as the passes leave
 them.  ``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
@@ -53,9 +54,11 @@ from math import comb
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import (
-    _ZERO, DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _times,
+    _ZERO, DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _rows, _times,
 )
-from .rings import LaurentPoly, LocalizedScalar, Ring, _canonical, _mono_str, _over_common_denom, _same_ring, _sum
+from .rings import (
+    LaurentPoly, LocalizedScalar, Ring, _canonical, _power, _over_common_denom, _same_ring, _scalar_of_rows, _sum,
+)
 
 __all__ = [
     "DEFAULT_MAX_SING",
@@ -244,7 +247,7 @@ def _poly_term_str(scalar: LocalizedScalar, basis: str) -> tuple[str, str]:
         if mag != 1 or (e_t == 0 and e_x == 0 and not basis):
             parts.append(str(mag))
         if e_t or e_x:
-            parts.append(_mono_str(e_t, e_x))
+            parts.append((_power("t", e_t) + _power("x", e_x))[1:])
         if basis:
             parts.append(basis)
         return ("-" if negative else "+", " ".join(parts))
@@ -336,7 +339,7 @@ def _solve(ring: Ring, nums: list[dict], d: int, k: int) -> OrderedSkeinElement:
     # nums: packed numerators over D^k, in all_patterns order.  B^d = (-1)^d x^(2d).
     shift, sign, p = 2 * d, (-1) ** d, ring.p
     coords = {
-        bits: ring.scalar(_decode(ring, _canonical({e + shift: sign * c for e, c in num.items()}, p)), d + k)
+        bits: _scalar_of_rows(ring, _rows(num, p, shift, sign), d + k)
         for bits, num in zip(all_patterns(d), _axis_pass(ring, nums, d, -ring.delta))
     }
     return OrderedSkeinElement(ring, d, coords)
@@ -353,7 +356,7 @@ def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedS
     ring, d = element.ring, element.d
     nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
     nums = _axis_pass(ring, nums, d, ring.delta)
-    return {bits: ring.scalar(_decode(ring, num), k) for bits, num in zip(all_patterns(d), nums)}
+    return {bits: _scalar_of_rows(ring, _rows(num, ring.p), k) for bits, num in zip(all_patterns(d), nums)}
 
 
 # -- invariants --------------------------------------------------------
@@ -428,7 +431,7 @@ def invariant(
     d = link.d
     nums = _unordered_numerators(_packed_sums(link.word, ring), ring)
     return SkeinPolynomial(ring, {
-        (d - j, j): ring.scalar(_decode(ring, num), d) for j, num in enumerate(nums)
+        (d - j, j): _scalar_of_rows(ring, _rows(num, ring.p), d) for j, num in enumerate(nums)
     })
 
 
@@ -436,9 +439,10 @@ def _unordered_numerators(sums: list[dict], ring: Ring) -> list[dict]:
     """B^d [z^j] sum_w (c + z)^(d - w) (1 + c z)^w S_w for j = 0..d, c = -delta.
 
     ``sums`` are the packed weight sums S_0..S_d; the numerators come back
-    packed and canonical.  One Horner pass in v = 1 + c z, from w = d
-    down: H times v (H[i] gains c H[i - 1], top down), plus
-    S_w (c + z)^(d - w), whose c^k S_w are built as they are added.
+    packed and unreduced, for ``engine._rows`` to reduce as it reads them.
+    One Horner pass in v = 1 + c z, from w = d down: H times v (H[i]
+    gains c H[i - 1], top down), plus S_w (c + z)^(d - w), whose c^k S_w
+    are built as they are added.
     """
     d = len(sums) - 1
     b_pow = _pack(ring.monomial((-1) ** d, 0, 2 * d))
@@ -458,4 +462,4 @@ def _unordered_numerators(sums: list[dict], ring: Ring) -> list[dict]:
                 h_i[e] = get(e, 0) + n * f
             if i:
                 power = _times(power.items(), c)
-    return [_canonical(h_i, ring.p) for h_i in h]
+    return h

@@ -153,6 +153,29 @@ def test_strand_count_above_the_bound_is_exit_3(capsys, command, count):
     assert err == f"bound exceeded: {count} strands exceeds the bound 2048\n"
 
 
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["homfly", f"3: s{LONG}"], f"parse error: letter index {LONG} out of range for 3 strands (at position 3)\n"),
+        (["homfly", f"{LONG}: s1"], f"parse error: strand count {LONG} has more than 4300 digits (at position 0)\n"),
+        (["invariant", f"2: t1 | o = {LONG}"], "parse error: labels must be a permutation of 1..1 (at position 12)\n"),
+    ],
+)
+def test_numerals_past_the_int_conversion_limit_are_parse_errors(capsys, argv, err):
+    # int() and str() refuse more than 4,300 digits, so these are judged
+    # by their text; the messages quote the numeral as written.
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_leading_zeros_do_not_count_towards_the_digit_limit(capsys):
+    zeros = "0" * 5000
+    assert run(capsys, "homfly", f"{zeros}2: s{zeros}1") == run(capsys, "homfly", "2: s1")
+    assert run(capsys, "invariant", f"2: t1 | o = {zeros}1")[0] == 0
+
+
 @pytest.mark.parametrize("command", ["invariant", "homfly"])
 def test_crossing_bound_message_is_the_same_for_both_commands(capsys, command):
     code, out, err = run(capsys, command, "3: " + " ".join(["s1 s2"] * 12 + ["s1"]))

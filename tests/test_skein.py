@@ -18,6 +18,7 @@ from skeinforge import (
     apply_cube,
     connected_sum,
     eval_vector,
+    exact_div,
     gf,
     homfly,
     invariant,
@@ -32,7 +33,8 @@ from skeinforge import (
 )
 from skeinforge import rings, skein
 from skeinforge.braid import random_word
-from skeinforge.engine import _ZERO, _decode
+from skeinforge.engine import _ZERO, _decode, weight_sums
+from skeinforge.rings import _canonical
 from skeinforge.skein import _unordered_numerators
 
 R = GENERIC
@@ -363,8 +365,42 @@ def test_weight_kernel_matches_expansion(ring):
         rows = _kernel_by_expansion(ring, d)
         for w in range(d + 1):
             sums = [{_ZERO: 1} if v == w else {} for v in range(d + 1)]
+            # The kernel leaves its numerators unreduced.
             nums = _unordered_numerators(sums, ring)
-            assert [_decode(ring, num) for num in nums] == rows[w], (d, w)
+            assert [_decode(ring, _canonical(num, ring.p)) for num in nums] == rows[w], (d, w)
+
+
+@pytest.mark.parametrize("ring", MODES, ids=lambda r: r.name)
+def test_d_divides_the_signed_weight_sum(ring):
+    # T_0 = sum_w c^w S_w, c = -delta, vanishes at delta = 1, where every
+    # link's value is 1, and at delta = -1, where it is
+    # (-1)^(components - 1); so the first division by D of each
+    # invariant numerator, B^d C(d, j) c^(d-j) T_0 modulo D, succeeds.
+    rng = random.Random(2525)
+    for _ in range(12):
+        link = random_word(rng, strands=rng.randint(2, 4), classical=rng.randint(0, 6), sing=rng.randint(1, 4))
+        t0, power = ring.zero, ring.one
+        for s in weight_sums(link.word, ring):
+            t0, power = t0 + power * s, power * -ring.delta
+        assert exact_div(t0, ring.denom) is not None, link
+
+
+@pytest.mark.parametrize(
+    "ring,peels,certificates",
+    [(GENERIC, 11, 11), (gf(5), 19, 19), (gf(2), 39, 0), (CONWAY, 100, 0)],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_invariant_tries_no_failing_division(monkeypatch, ring, peels, certificates):
+    # The divisions and certificates of the d = 10 word, as counted when
+    # each quotient row gathered D times the rows above it.
+    calls = {"_peel": 0, "_off_denom": 0}
+    for name in calls:
+        def counted(*args, name=name, f=getattr(rings, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(rings, name, counted)
+    invariant(parse_link(D10_WORD), ring)
+    assert calls == {"_peel": peels, "_off_denom": certificates}
 
 
 def test_skein_polynomial_strings():
