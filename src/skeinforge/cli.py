@@ -13,10 +13,10 @@ import argparse
 import sys
 
 from . import __version__
-from .braid import _is_nat, parse_link
+from .braid import _MAX_DIGITS, _is_nat, _nat_value, parse_link
 from .errors import BoundError, ParseError, PreconditionError
 from .engine import DEFAULT_MAX_CROSSINGS, homfly
-from .rings import Ring
+from .rings import _MR_BOUND, Ring
 from .skein import (
     DEFAULT_MAX_SING,
     OrderedSkeinElement,
@@ -37,20 +37,27 @@ def _ring_from_spec(text: str) -> Ring:
     if text == "conway":
         return Ring(conway=True)
     if text.startswith("gf:"):
-        if not _is_nat(text[3:]):
+        digits = text[3:]
+        if not _is_nat(digits):
             raise ParseError(f"bad prime in ring spec {text!r}")
+        # Longer than _MR_BOUND, it is refused by its length and quoted as written.
+        if (p := _nat_value(digits, len(str(_MR_BOUND)))) is None:
+            raise ParseError(f"--ring modulus must be below {_MR_BOUND}, got {digits}")
         try:
-            return Ring(int(text[3:]))
+            return Ring(p)
         except ValueError as exc:
             raise ParseError(str(exc))
     raise ParseError(f"unknown ring {text!r}; use generic, conway, or gf:<p>")
 
 
 def _nat_arg(text: str) -> int:
-    # int() would also take signs, spaces and any script's digits.
+    # int() would also take signs, spaces and any script's digits, and at
+    # most _MAX_DIGITS of them.
     if not _is_nat(text):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
-    return int(text)
+    if (value := _nat_value(text, _MAX_DIGITS)) is None:
+        raise argparse.ArgumentTypeError(f"expected at most {_MAX_DIGITS} significant digits")
+    return value
 
 
 def _bound_arg(text: str) -> int:

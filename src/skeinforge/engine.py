@@ -74,6 +74,8 @@ short words they mostly are.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .braid import POS, SING, SingularBraidWord
 from .errors import BoundError, PreconditionError
 from .rings import LaurentPoly, Ring, _canonical, _same_ring
@@ -187,8 +189,8 @@ def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) 
     run.tabulate(state, n)
     sums = run.contract(state, d + 1)
     if delta_pow:
-        factor = _pack(ring.delta_pow(delta_pow))
-        sums = [_canonical(_times(s.items(), factor), ring.p) for s in sums]
+        factor = ring.delta_pow(delta_pow)
+        sums = [{_ZERO + e: c for e, c in _pack(_decode(ring, s) * factor)} for s in sums]
     return sums
 
 
@@ -203,39 +205,81 @@ def _decode(ring: Ring, packed: dict) -> LaurentPoly:
     return LaurentPoly._raw(ring, {((e >> _F) - _BIAS, (e & mask) - _BIAS): c for e, c in packed.items()})
 
 
-def _rows(packed: dict, p: int | None, shift: int = 0, sign: int = 1) -> dict[int, dict]:
-    """sign x^shift times a {packed exponents: c} dict, as canonical t-rows {e_t: {e_x: c}}.
+class _Box:
+    """Packed dicts as Kronecker-packed integers, one signed digit per point of a shared box.
 
-    One pass reduces mod p over GF(p) and drops zeros, so ``packed`` need not be canonical.
+    The box is a rectangle of rows e_t, each of nx points e_x, so thin
+    values (delta^n, long 2-strand words) stay thin.  A link's terms share
+    the parity of e_t + e_x (u = t x, t^2, delta and B keep it); then nx is
+    odd, the point's e_t nx + e_x is even, and half of it, a (nx + 1)/2 +
+    b (nx - 1)/2 for a = (e_t + e_x)/2, b = (e_t - e_x)/2, is its digit.
+    u and t^2 are left shifts by ``u`` and ``t2`` bits; in conway t = 1, so
+    t^2 shifts by 0.  The box holds the inputs grown by ``grow`` such
+    factors, and a digit, in whole 64-bit words, up to ``factor`` times the
+    inputs' largest 1-norm.  GF(p) reduces when read.
     """
-    mask = (1 << _F) - 1
-    x0 = _BIAS - shift
-    rows: dict[int, dict] = {}
-    get = rows.get
-    for e, c in packed.items():
-        if c := sign * c % p if p else sign * c:
-            e_t = (e >> _F) - _BIAS
-            row = get(e_t)
-            if row is None:
-                row = rows[e_t] = {}
-            row[(e & mask) - x0] = c
-    return rows
 
+    def __init__(self, ring: Ring, packed: list[dict], grow: int, factor: int):
+        mask = (1 << _F) - 1
+        keys = [e for s in packed for e in s] or [_ZERO]
+        step = self.step = 0 if ring.conway else 1  # the rows that u and t^2 move by
+        half = self.half = step and len({(e >> _F) + e & 1 for e in keys}) == 1
+        xs = [e & mask for e in keys]
+        t_lo, x_lo = min(keys) >> _F, min(xs)
+        # Every e_t nx + e_x must be even when halved.
+        x_lo -= half & (t_lo + x_lo + (keys[0] >> _F) + keys[0])
+        nx = self.nx = max(xs) - x_lo + grow + 1 | half
+        size = self.size = ((max(keys) >> _F) - t_lo + 2 * step * grow + 1) * nx + half >> half
+        bound = factor * max((sum(map(abs, s.values())) for s in packed), default=0)
+        width = self.width = 8 * -(-(bound.bit_length() + 1) // 64)
+        # (v + bias) ^ bias holds each signed digit of v in two's complement.
+        self.bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+        self.u = 8 * width * (step * nx + 1 >> half)
+        self.t2 = 8 * width * (2 * step * nx >> half)
+        origin = t_lo * nx + x_lo
+        self.packed, self.spots = packed, [((e >> _F) * nx + x - origin >> half) * width for e, x in zip(keys, xs)]
+        self.et0, self.ex0 = t_lo - _BIAS, x_lo - _BIAS
 
-def _times(terms, shifts: list, acc: dict | None = None) -> dict:
-    """Packed (exponents, c) terms times (packed shift, coefficient) pairs, unreduced.
+    def encode(self) -> list[int]:
+        """The integers of the packed dicts, in order."""
+        width, bias, spots = self.width, self.bias, iter(self.spots)
+        values = []
+        for s in self.packed:
+            buf = bytearray(self.size * width)
+            for c, at in zip(s.values(), spots):
+                buf[at : at + width] = c.to_bytes(width, "little", signed=True)
+            values.append((int.from_bytes(buf, "little") ^ bias) - bias)
+        return values
 
-    The product is added into ``acc``, a new dict by default.  ``terms``
-    is read once per shift, so it must be a dict view, not an iterator.
-    """
-    if acc is None:
-        acc = {}
-    get = acc.get
-    for s, f in shifts:
-        for e, c in terms:
-            key = e + s
-            acc[key] = get(key, 0) + c * f
-    return acc
+    def rows(self, value: int, p: int | None, sign: int = 1, m_t: int = 0, m_x: int = 0) -> dict[int, dict]:
+        """sign t^m_t x^m_x times ``value``'s polynomial, as canonical t-rows {e_t: {e_x: c}}; sign is +-1.
+
+        The nonzero digits are picked out in C, and read as words or, if wider, as bytes.
+        """
+        half, nx, width = self.half, self.nx, self.width
+        et0, ex0 = self.et0 + self.step * m_t, self.ex0 + m_x
+        words, size = width >> 3, self.size * width
+        twos = (value if sign > 0 else -value) + self.bias ^ self.bias
+        raw = memoryview(twos.to_bytes(size, "little"))
+        # OR each digit's words into its lowest: covering w words, then 2w.
+        flags, w = twos, 1
+        while w < words:
+            flags |= flags >> 64 * min(w, words - w)
+            w *= 2
+        nonzero = (raw if words == 1 else memoryview(flags.to_bytes(size, "little"))).cast("Q")[::words]
+        values = compress(raw.cast("q"), nonzero) if words == 1 else (
+            int.from_bytes(raw[at : at + width], "little", signed=True) for at in compress(range(0, size, width), nonzero)
+        )
+        rows: dict[int, dict] = {}
+        last = None
+        for i, c in zip(compress(count(), nonzero), values):
+            if c := c % p if p else c:
+                e_t, e_x = divmod(i << half, nx)
+                if e_t != last:  # digits come in row order
+                    last = e_t
+                    row = rows[e_t + et0] = {}
+                row[e_x + ex0] = c
+        return rows
 
 
 class _Pass:

@@ -12,10 +12,12 @@ axes.  As delta^2 - 1 is a unit, that is M(delta) with delta negated:
 
     M(delta)^(-1) = (B / D) M(-delta),      B = -x^2,
 
-so the solve runs ``apply_cube``'s butterfly with -delta on packed
-numerators (``engine._times``), and each coordinate, B^d (a key shift and
-a sign) times one of them over D^d, is read once into t-rows
-(``engine._rows``) for its normal form (``rings._scalar_of_rows``).
+so the solve runs ``apply_cube``'s butterfly with -delta.  Times t x,
+M(-delta) is ((c', u), (u, c')) with u = t x and c' = t^2 - 1, so it runs
+on Kronecker-packed integers (``engine._Box``; Kronecker 1882, Harvey,
+J. Symbolic Comput. 44, 2009), where u and t^2 are left shifts.  Each
+coordinate, B^d (t x)^(-d) = (-1)^d t^(-d) x^d times one integer over
+D^d, is decoded once into t-rows for its normal form.
 
 Summing coordinates over patterns with d - j zeros and j ones projects
 onto the coefficient of X^(d-j) Y^j of the commutative polynomial
@@ -36,13 +38,12 @@ projection of the solved coordinates, term for term.  ``invariant``
 computes the polynomial this way, with or without ``--ordered``, and
 takes the weight sums from the engine's graded pass (the packed form
 of ``engine.weight_sums``), which never forms the 2^d resolutions.
-The sum is one homogeneous Horner pass in v = 1 + c z on the engine's
-packed terms (``_unordered_numerators``): d(d+1) products by the two-term
-c, half of them on the small S_w, and (d+1)(d+2)/2 binomial-scaled
-additions, with no binomial table.  B^d shifts the keys of each S_w once,
-and each output coefficient's exponents are read once, into t-rows.
-``--ordered`` solves the packed resolution values as the passes leave
-them.  ``project_unordered(solve_coordinates(...))`` is kept only as the
+The sum, times (t x)^d, is one homogeneous Horner pass in v = u + c' z
+on the packed integers of the S_w (``_unordered_numerators``): d(d+1)
+products by the two-term c', each two shifts and a subtraction, and
+(d+1)(d+2)/2 binomial-scaled additions.  ``--ordered`` solves the
+resolution values, packed as the passes leave them.
+``project_unordered(solve_coordinates(...))`` is kept only as the
 reference that the tests and the check suites compare against.
 """
 
@@ -54,10 +55,10 @@ from math import comb
 from .braid import OrderedSingularLink, all_patterns, resolve_all
 from .errors import BoundError
 from .engine import (
-    _ZERO, DEFAULT_MAX_CROSSINGS, _check_crossings, _decode, _pack, _packed_sums, _Pass, _rows, _times,
+    _ZERO, DEFAULT_MAX_CROSSINGS, _Box, _check_crossings, _decode, _pack, _packed_sums, _Pass,
 )
 from .rings import (
-    LaurentPoly, LocalizedScalar, Ring, _canonical, _power, _over_common_denom, _same_ring, _scalar_of_rows, _sum,
+    LaurentPoly, LocalizedScalar, Ring, _power, _over_common_denom, _same_ring, _scalar_of_rows, _sum,
 )
 
 __all__ = [
@@ -79,6 +80,9 @@ DEFAULT_MAX_SING = 10
 # the check suites and the tests peak at 157,163 (the d = 10 word; 262,431
 # before the reduction cancelled across commuting letters).
 MAX_CUBE_WORK = 2_750_000
+# Bytes of the 2^d integers of one axis pass: the d = 10 word needs
+# 6,373,376 over the largest prime (3,186,688 in generic), "2: t1^14" 85,590,016.
+MAX_AXIS_BYTES = 1 << 26
 
 
 class OrderedSkeinElement:
@@ -291,19 +295,24 @@ def _check_bounds(link: OrderedSingularLink, max_sing: int, max_crossings: int) 
     _check_crossings(link.word, max_crossings)
 
 
-def _axis_pass(ring: Ring, vec: list[dict], d: int, c: LaurentPoly) -> list[dict]:
-    # Packed vec times M(c) = ((c, 1), (1, c)) tensored d times, one axis at
-    # a time; each entry, the other operand plus c times its own, reduced once.
-    p, c = ring.p, _pack(c)
+def _axis_pass(ring: Ring, vec: list[dict], d: int) -> tuple[_Box, list[int]]:
+    """Packed vec times t x M(-delta) = ((c', u), (u, c')) tensored d times, as integers.
+
+    Each axis at most triples the 1-norm; refused before any butterfly above MAX_AXIS_BYTES.
+    """
+    box = _Box(ring, vec, d, 3**d)
+    if (need := box.size * box.width << d) > MAX_AXIS_BYTES:
+        raise BoundError(f"the axis pass needs {need} bytes, over the bound of {MAX_AXIS_BYTES}")
+    u, t2, vec = box.u, box.t2, box.encode()
     for axis in range(d):
         stride = 1 << (d - 1 - axis)
         for base in range(1 << d):
             if base & stride:
                 continue
             v0, v1 = vec[base], vec[base | stride]
-            vec[base] = _canonical(_times(v0.items(), c, dict(v1)), p)
-            vec[base | stride] = _canonical(_times(v1.items(), c, dict(v0)), p)
-    return vec
+            vec[base] = (v0 << t2) - v0 + (v1 << u)
+            vec[base | stride] = (v1 << t2) - v1 + (v0 << u)
+    return box, vec
 
 
 def _numerators(ring: Ring, values: list) -> tuple[list[dict], int]:
@@ -323,6 +332,8 @@ def solve_coordinates(
     put in normal form once, over D^(d + k) for a common D^k of the values.
     No subcommand calls this (``invariant_ordered`` solves packed values);
     the tests, the benchmark corpus's cross-check and its replay do.
+    ``tests/test_skein.py::test_cube_maps_match_the_kronecker_power``
+    checks it against M(delta) tensored d times, built entry by entry.
     """
     if not values:
         raise ValueError("values must contain the empty pattern at least")
@@ -336,11 +347,11 @@ def solve_coordinates(
 
 
 def _solve(ring: Ring, nums: list[dict], d: int, k: int) -> OrderedSkeinElement:
-    # nums: packed numerators over D^k, in all_patterns order.  B^d = (-1)^d x^(2d).
-    shift, sign, p = 2 * d, (-1) ** d, ring.p
+    # nums: packed numerators over D^k, in all_patterns order.
+    box, vec = _axis_pass(ring, nums, d)
     coords = {
-        bits: _scalar_of_rows(ring, _rows(num, p, shift, sign), d + k)
-        for bits, num in zip(all_patterns(d), _axis_pass(ring, nums, d, -ring.delta))
+        bits: _scalar_of_rows(ring, box.rows(v, ring.p, (-1) ** d, -d, d), d + k)
+        for bits, v in zip(all_patterns(d), vec)
     }
     return OrderedSkeinElement(ring, d, coords)
 
@@ -348,15 +359,20 @@ def _solve(ring: Ring, nums: list[dict], d: int, k: int) -> OrderedSkeinElement:
 def apply_cube(element: OrderedSkeinElement) -> dict[tuple[int, ...], LocalizedScalar]:
     """Forward map: resolution values of an element given by coordinates.
 
-    The packed butterfly of ``solve_coordinates``, with delta for -delta.
-    No CLI path applies it; it is the reference that checks
-    ``solve_coordinates`` by mapping solved coordinates back to values,
-    in the tests and in ``bench/``'s cross-check of its pinned answers.
+    M(delta) = -J M(-delta) J with J = diag(1, -1): the butterfly of
+    ``solve_coordinates`` between sign flips of the odd patterns.  No CLI
+    path applies it; it checks ``solve_coordinates`` in the tests and in
+    ``bench/``'s cross-check, and both are checked independently by
+    ``tests/test_skein.py::test_cube_maps_match_the_kronecker_power``.
     """
     ring, d = element.ring, element.d
-    nums, k = _numerators(ring, [element.coefficient(bits) for bits in all_patterns(d)])
-    nums = _axis_pass(ring, nums, d, ring.delta)
-    return {bits: _scalar_of_rows(ring, _rows(num, ring.p), k) for bits, num in zip(all_patterns(d), nums)}
+    patterns = list(all_patterns(d))
+    nums, k = _numerators(ring, [-element.coefficient(b) if sum(b) & 1 else element.coefficient(b) for b in patterns])
+    box, vec = _axis_pass(ring, nums, d)
+    return {
+        bits: _scalar_of_rows(ring, box.rows(v, ring.p, (-1) ** (d + sum(bits)), -d, -d), k)
+        for bits, v in zip(patterns, vec)
+    }
 
 
 # -- invariants --------------------------------------------------------
@@ -412,11 +428,10 @@ def invariant(
         B^d D^(-d) sum_w [z^j] (c + z)^(d-w) (1 + c z)^w S_w,
 
     where c = -delta and B = -x^2, as M(delta)^(-1) = (B / D) M(-delta).
-    The sum is one Horner pass in v = 1 + c z on flat integer terms keyed
-    by packed exponents (``_unordered_numerators``), so it costs O(d^2)
-    products by the two-term c and O(d^2) binomial-scaled additions of
-    weight sums (each multiplied once by the monomial B^d), then d + 1
-    row-wise normal forms by D.  It is exact: the z^j coefficient of that
+    The sum is one Horner pass in v = 1 + c z on one Kronecker-packed
+    integer per z-coefficient (``_unordered_numerators``), so it costs
+    O(d^2) products by c, each two shifts and a subtraction, and O(d^2)
+    additions, then d + 1 row-wise normal forms by D.  It is exact: the z^j coefficient of that
     product is the sum, over the coordinates of weight j, of the c/1
     factors pattern eps of weight w sends them (see the module
     docstring), so only the grouping of exact sums differs from
@@ -430,36 +445,31 @@ def invariant(
     _check_bounds(link, max_sing, max_crossings)
     d = link.d
     nums = _unordered_numerators(_packed_sums(link.word, ring), ring)
-    return SkeinPolynomial(ring, {
-        (d - j, j): _scalar_of_rows(ring, _rows(num, ring.p), d) for j, num in enumerate(nums)
-    })
+    return SkeinPolynomial(ring, {(d - j, j): _scalar_of_rows(ring, rows, d) for j, rows in enumerate(nums)})
 
 
 def _unordered_numerators(sums: list[dict], ring: Ring) -> list[dict]:
-    """B^d [z^j] sum_w (c + z)^(d - w) (1 + c z)^w S_w for j = 0..d, c = -delta.
+    """B^d [z^j] sum_w (c + z)^(d - w) (1 + c z)^w S_w for j = 0..d, c = -delta, as t-rows.
 
-    ``sums`` are the packed weight sums S_0..S_d; the numerators come back
-    packed and unreduced, for ``engine._rows`` to reduce as it reads them.
-    One Horner pass in v = 1 + c z, from w = d down: H times v (H[i]
-    gains c H[i - 1], top down), plus S_w (c + z)^(d - w), whose c^k S_w
-    are built as they are added.
+    ``sums`` are the packed weight sums S_0..S_d.  Times (t x)^d, the sum
+    is sum_w (c' + u z)^(d - w) (u + c' z)^w S_w with c' = t^2 - 1 and
+    u = t x, on the integers of one ``engine._Box``.  One Horner pass in
+    v = u + c' z, from w = d down: H[i] becomes u H[i] + c' H[i - 1], top
+    down, plus S_w (c' + u z)^(d - w), whose c'^k S_w are built as they
+    are added.  Each factor has 1-norm 3, which bounds the digits.
     """
     d = len(sums) - 1
-    b_pow = _pack(ring.monomial((-1) ** d, 0, 2 * d))
-    c = _pack(-ring.delta)
-    h: list[dict] = [{} for _ in range(d + 1)]
+    box = _Box(ring, sums, d, (d + 1) * 3**d)
+    u, t2, values = box.u, box.t2, box.encode()
+    h = [0] * (d + 1)
     for m in range(d + 1):  # m = d - w
         for i in range(m, 0, -1):
-            _times(h[i - 1].items(), c, h[i])
-        # B^d multiplies each weight sum once, as the sums are smaller
-        # than the d + 1 accumulators.
-        power = _times(sums[d - m].items(), b_pow)
+            g = h[i - 1]
+            h[i] = (h[i] << u) + (g << t2) - g
+        h[0] <<= u
+        power = values[d - m]
         for i in range(m, -1, -1):
-            n = comb(m, i)
-            h_i = h[i]
-            get = h_i.get
-            for e, f in power.items():
-                h_i[e] = get(e, 0) + n * f
+            h[i] += comb(m, i) * power << i * u
             if i:
-                power = _times(power.items(), c)
-    return h
+                power = (power << t2) - power
+    return [box.rows(n, ring.p, (-1) ** d, -d, d) for n in h]

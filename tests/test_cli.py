@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -170,6 +171,23 @@ def test_numerals_past_the_int_conversion_limit_are_parse_errors(capsys, argv, e
     assert run(capsys, *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv,last_line",
+    [
+        (["invariant", "--ring", f"gf:{LONG}", "2: t1"], f"parse error: --ring modulus must be below 3317044064679887385961981, got {LONG}"),
+        (["check", "star", "--seed", LONG], "skeinforge check: error: argument --seed: expected at most 4300 significant digits"),
+        (["homfly", "--max-crossings", LONG, "2: s1"], "skeinforge homfly: error: argument --max-crossings: expected at most 4300 significant digits"),
+    ],
+)
+def test_option_numerals_past_the_int_conversion_limit_are_refused(capsys, argv, last_line):
+    # Judged by their text, as the word's numerals are: the message names
+    # the flag and no private function, and quotes a modulus as written.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == last_line
+    assert not re.search(r"\b_[A-Za-z]", err) and "Traceback" not in err
+
+
 def test_leading_zeros_do_not_count_towards_the_digit_limit(capsys):
     zeros = "0" * 5000
     assert run(capsys, "homfly", f"{zeros}2: s{zeros}1") == run(capsys, "homfly", "2: s1")
@@ -225,6 +243,19 @@ def test_ordered_resolution_passes_share_one_budget(capsys):
     assert (code, out) == (3, "")
     assert err == (
         f"bound exceeded: the resolution passes exceed the bound of {skeinforge.skein.MAX_CUBE_WORK} terms\n"
+    )
+
+
+def test_ordered_axis_pass_is_bounded_before_it_starts(capsys):
+    # The 2^14 resolution passes fit MAX_CUBE_WORK, and the unordered
+    # answer is cheap; the axis pass's integers would take 85,590,016 bytes.
+    word = "2: " + " ".join(["t1"] * 14)
+    bounds = ("--max-sing", "14", "--max-crossings", "40")
+    assert run(capsys, "invariant", *bounds, word)[0] == 0
+    code, out, err = run(capsys, "invariant", "--ordered", *bounds, word)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"bound exceeded: the axis pass needs 85590016 bytes, over the bound of {skeinforge.skein.MAX_AXIS_BYTES}\n"
     )
 
 
@@ -354,6 +385,9 @@ def test_check_json(capsys, monkeypatch):
 
 
 ROADMAP_WORD = "5: t1 s2 t3 s4^-1 t2 s1^-1 t4 s3 t1 s2^-1 t3 s4 t2 s1 t4 s3^-1 t1 t2 s2 s1"
+T1_40_WORD = "2: " + " ".join(["t1"] * 40)
+# The largest prime below rings._MR_BOUND.
+LARGEST_PRIME = 3317044064679887385961813
 
 # SHA-256 of the stdout of every invariant output form, made with the
 # unordered answer taken as the projection of the solved coordinates.
@@ -403,6 +437,13 @@ PINNED_INVARIANT_DIGESTS = [
     # certificate.
     ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:2", ("--ordered",), "b43f89e7d8d80219af73586db91b68aa5a97b91cd54678849ec78a76a2285d4f"),
     ("3: t1 s2 t2 s1^-1 t1 | o = 3 1 2", "gf:3", ("--ordered",), "285b24a05df8aa8391ef5797942e37b7f58534fb15d4ad40b2d09f15564586ba"),
+    # Coefficients past one 64-bit word: 3^40 > 2^63 in generic, and the
+    # 82-bit residues of the largest prime below the modulus bound.  Made
+    # when the kernel and the axis pass ran on packed dicts.
+    (T1_40_WORD, "generic", ("--max-sing", "40", "--max-crossings", "40"), "7240d42d1ffa3b031065ab50b803a2a25e749c14da4c7aaa7890457d613c5291"),
+    (ROADMAP_WORD, f"gf:{LARGEST_PRIME}", (), "dabe6f7c25e97e27fd61c869979be9cecc5e050249f7740e8f7e5be66f4536be"),
+    ("3: t1 t2 s1^-1 t1 s2", f"gf:{LARGEST_PRIME}", ("--ordered", "--json"), "f4e6aa41f78214e54300012c67e4cfd9e9d909269331121f6843cc703d5d1200"),
+    ("3: t1 t2 s1^-1 t1 s2", "conway", ("--ordered", "--json"), "fae152c58a763f822760a4a0ec51f275fb0e0df9b1fa7633a2e74e2ddfe8d382"),
 ]
 
 

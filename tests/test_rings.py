@@ -21,7 +21,7 @@ from skeinforge import (
 )
 from skeinforge import rings
 from skeinforge.cli import main
-from skeinforge.engine import _F, _ZERO, _pack, _rows
+from skeinforge.engine import _F, _ZERO, _Box, _pack
 from skeinforge.rings import _reduce_fraction, _scalar_of_rows
 
 # GF(2) and GF(3) are where reducing -c and sums mod p is easiest to get wrong.
@@ -293,18 +293,24 @@ def test_normal_form_with_a_factor_vanishing_on_d(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(normal_form_cases(), st.integers(-6, 6), st.sampled_from((1, -1)), st.integers(0, 3))
-def test_normal_form_of_packed_rows_matches_exact_div(data, shift, sign, lift):
-    # The packed numerators the kernel and the solve leave, unreduced and
-    # with zeros, read into t-rows times sign x^shift.
+@given(
+    normal_form_cases(), st.integers(-6, 6), st.sampled_from((1, -1)), st.integers(0, 3),
+    st.sampled_from((1, 1 << 64, 1 << 128)),
+)
+def test_normal_form_of_packed_rows_matches_exact_div(data, shift, sign, lift, factor):
+    # The integers the kernel and the solve leave, with unreduced residues
+    # and zeros, read from their box into t-rows times sign x^shift, with
+    # digits of one, two or three words.
     ring, n, k, extra, (e_t, e_x), divisible = data
     num = n * ring.denom_pow(k)
     num = num * ring.monomial(1, e_t, e_x) if divisible else num + ring.one
     packed = {_ZERO + s: c + lift * (ring.p or 0) for s, c in _pack(num)}
     packed[_ZERO + (99 << _F)] = lift * (ring.p or 0)
+    box = _Box(ring, [packed], 0, factor)
+    (value,) = box.encode()
     expected = num * ring.monomial(sign, 0, shift)
     for dpow in (0, k, k + extra):
-        scalar = _scalar_of_rows(ring, _rows(packed, ring.p, shift, sign), dpow)
+        scalar = _scalar_of_rows(ring, box.rows(value, ring.p, sign, 0, shift), dpow)
         assert (scalar.num, scalar.dpow) == _reduce_by_exact_div(ring, expected, dpow)
 
 
