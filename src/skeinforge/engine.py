@@ -83,7 +83,8 @@ from .rings import LaurentPoly, Ring, _canonical, _same_ring
 __all__ = ["DEFAULT_MAX_CROSSINGS", "homfly", "clear_cache"]
 
 DEFAULT_MAX_CROSSINGS = 24
-# "2048: s1" answers in about 2 s: each free strand costs a delta factor.
+# "2048: s1" answers in about 0.1 s: each free strand costs a delta factor,
+# and delta_pow writes delta^2046's 2,047 binomial terms at once.
 MAX_STRANDS = 2048
 # State terms that one pass (one weight_sums call) may produce, in the
 # pass and in trace expansions together.  The pinned corpora and the check

@@ -86,6 +86,14 @@ def _same_ring(a: "Ring", b: "Ring") -> None:
         raise ValueError(f"rings differ: {a.name} vs {b.name}")
 
 
+def _binomials(n: int) -> Iterable[int]:
+    """C(n, 0), ..., C(n, n), each from the one before: math.comb per entry is 100x slower at n = 2046."""
+    c = 1
+    for j in range(n + 1):
+        yield c
+        c = c * (n - j) // (j + 1)
+
+
 def _power(sym: str, e: int) -> str:
     """The text of sym^e after a space, or "" for e = 0."""
     return "" if not e else f" {sym}" if e == 1 else f" {sym}^{e}" if e > 0 else f" {sym}^({e})"
@@ -291,7 +299,6 @@ class Ring:
         "x_inv",
         "delta",
         "denom",
-        "denom_rows",
         "scalar_zero",
         "scalar_one",
     )
@@ -331,16 +338,6 @@ class Ring:
         self.x_inv = self.monomial(1, 0, -1)
         self.delta = self.x_inv * (self.t_inv - self.t)
         self.denom = (self.t_inv - self.t - self.x) * (self.t_inv - self.t + self.x)
-        # -D's t-rows for ``_peel``: the top row's exponents and the inverse
-        # of D's unit there (a unit of the integers is its own), the t-offset
-        # and terms of each row below, and D's t-span.
-        rows: dict[int, list] = {}
-        for (e_t, e_x), c in self.denom.terms.items():
-            rows.setdefault(e_t, []).append((e_x, -c))
-        top = max(rows)
-        ((top_x, top_c),) = rows.pop(top)
-        lower = [(e_t - top, terms) for e_t, terms in rows.items()]
-        self.denom_rows = (top, top_x, pow(-top_c, -1, p) if p else -top_c, lower, top - min(rows, default=top))
         self.scalar_zero = LocalizedScalar._make(self, self.zero, 0)
         self.scalar_one = LocalizedScalar._make(self, self.one, 0)
 
@@ -352,17 +349,16 @@ class Ring:
         return LaurentPoly(self, terms)
 
     def delta_pow(self, k: int) -> LaurentPoly:
-        return self._pow(self.delta, k)
+        """delta^k = x^(-k) (t^(-1) - t)^k for k >= 0, one binomial term at a time."""
+        return LaurentPoly(self, (((2 * j - k, -k), (-1) ** j * c) for j, c in enumerate(_binomials(k))))
 
     def denom_pow(self, k: int) -> LaurentPoly:
-        return self._pow(self.denom, k)
-
-    def _pow(self, base: LaurentPoly, k: int) -> LaurentPoly:
-        # Square-and-multiply for k >= 0; nothing is kept between calls.
-        if k < 2:
-            return base if k else self.one
-        half = self._pow(base * base, k >> 1)
-        return half * base if k & 1 else half
+        """D^k = ((t^(-1) - t)^2 - x^2)^k for k >= 0, one binomial term at a time."""
+        return LaurentPoly(self, (
+            ((2 * (i + j - k), 2 * i), (-1) ** (i + j) * a * b)
+            for i, a in enumerate(_binomials(k))
+            for j, b in enumerate(_binomials(2 * k - 2 * i))
+        ))
 
     def scalar(self, num: LaurentPoly, dpow: int = 0) -> "LocalizedScalar":
         return LocalizedScalar(self, num, dpow)
@@ -385,15 +381,16 @@ def _reduce_fraction(ring: Ring, num: LaurentPoly, dpow: int) -> tuple[LaurentPo
 def _scalar_of_rows(ring: Ring, rows: dict, dpow: int) -> "LocalizedScalar":
     """Normal form of canonical t-rows {e_t: {e_x: c}} over D^dpow: divide D out while it divides.
 
-    In every mode D's top t-row is one unit monomial u: t^2 in generic
-    and GF(p), -x^2 in conway, where D is a unit.  So dividing by D peels
-    the numerator one t-row at a time, top down (``_peel``), and nothing
-    searches for a leading term.
+    In conway D = -x^2 is a unit, so the rows over D^dpow are
+    (-1)^dpow x^(-2 dpow) times them, over D^0.  Elsewhere D's top t-row
+    is t^2 with coefficient 1, so dividing by D peels the numerator one
+    t-row at a time, top down (``_peel``), and nothing searches for a
+    leading term.
 
     After the first division, ``_off_denom`` evaluates the quotient at two
     zeros of D before each further one; a nonzero value proves that D
-    does not divide, and only a zero there (or GF(2), GF(3) or conway)
-    runs the division.  The first division goes untested, as it always
+    does not divide, and only a zero there (or GF(2) or GF(3)) runs the
+    division.  The first division goes untested, as it always
     succeeds on the numerators the package reduces.  At x = t^(-1) - t
     (delta = 1) every link's value is 1, and at x = t - t^(-1)
     (delta = -1) it is (-1)^(components - 1), so T_0 = sum_w c^w S_w,
@@ -405,14 +402,17 @@ def _scalar_of_rows(ring: Ring, rows: dict, dpow: int) -> "LocalizedScalar":
     if not rows:
         return ring.scalar_zero
     p = ring.p
-    # The certificate needs 2 and 3 to be units, so not GF(2) or GF(3);
-    # in conway D is a unit and always divides.
-    certify = not ring.conway and (p is None or p >= 5)
+    if ring.conway:
+        sign, shift = (-1) ** dpow, -2 * dpow
+        terms = {(e_t, e_x + shift): sign * c for e_t, row in rows.items() for e_x, c in row.items()}
+        return LocalizedScalar._make(ring, LaurentPoly._raw(ring, _canonical(terms, p)), 0)
+    # The certificate needs 2 and 3 to be units, so not GF(2) or GF(3).
+    certify = p is None or p >= 5
     start = dpow
     while dpow:
         if certify and dpow < start and _off_denom(rows, p):
             break
-        quot = _peel(rows, *ring.denom_rows, p)
+        quot = _peel(rows, p)
         if quot is None:
             break
         rows, dpow = quot, dpow - 1
@@ -449,36 +449,35 @@ def _off_denom(rows: dict, p: int | None) -> bool:
     return plus != 0 or minus != 0
 
 
-def _peel(
-    rows: dict, top: int, top_x: int, inv: int, lower: list, span: int, p: int | None
-) -> dict | None:
-    """The t-rows of rows / D, or None when D does not divide.
+# -D's t-rows below its top t^2, as (t-offset, ((e_x, c), ...)): 2 + x^2 and -1.
+_D_LOWER = ((-2, ((0, 2), (2, 1))), (-4, ((0, -1),)))
 
-    Top down, each nonzero remainder row, times inv and shifted, is the
-    quotient's next row, and -D's lower rows times it are added into the
-    rows below, which are reduced mod p and cleared of zeros when read.
+
+def _peel(rows: dict, p: int | None) -> dict | None:
+    """The t-rows of rows / D, or None when D does not divide; not for conway.
+
+    D = t^2 - (2 + x^2) + t^(-2), so top down each nonzero remainder row
+    is the quotient's row two below, and -D's lower rows (``_D_LOWER``)
+    times it are added into the rows below, which are reduced mod p and
+    cleared of zeros when read.
     """
     low = min(rows)
-    # D's top is t^2 in generic and GF(p): a quotient row is the remainder's.
-    plain = inv == 1 and not top_x
     rem: dict[int, dict] = {}
     quot: dict[int, dict] = {}
     for e_t in range(max(rows), low - 1, -1):
         row = rem.pop(e_t, None) or rows.get(e_t)
         if not row or not (row := _canonical(row, p)):
             continue
-        if e_t < low + span:
+        if e_t < low + 4:
             return None
-        q_row = quot[e_t - top] = row if plain else {
-            e_x - top_x: c * inv % p if p else c * inv for e_x, c in row.items()
-        }
-        for shift, terms in lower:
+        quot[e_t - 2] = row
+        for shift, terms in _D_LOWER:
             target = rem.get(e_t + shift)
             if target is None:
                 target = rem[e_t + shift] = dict(rows.get(e_t + shift, ()))
             get = target.get
             for f_x, f in terms:
-                for e_x, c in q_row.items():
+                for e_x, c in row.items():
                     key = e_x + f_x
                     target[key] = get(key, 0) + c * f
     return quot

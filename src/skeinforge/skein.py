@@ -82,6 +82,9 @@ DEFAULT_MAX_SING = 10
 MAX_CUBE_WORK = 2_750_000
 # Bytes of the 2^d integers of one axis pass: the d = 10 word needs
 # 6,373,376 over the largest prime (3,186,688 in generic), "2: t1^14" 85,590,016.
+# It counts only those integers, not the normal forms after them, so peak
+# RSS runs 3-6x above it: --ordered on "2: t1^13" (raised bounds) needs
+# 39.9 MB and peaks at 137 MB.
 MAX_AXIS_BYTES = 1 << 26
 
 

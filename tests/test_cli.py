@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import runpy
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import skeinforge
-from skeinforge import cli
+from skeinforge import braid, cli
 from skeinforge.cli import main
 
 
@@ -327,6 +328,87 @@ def test_any_argv_ends_cleanly(argv):
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert code == 0 or out.getvalue() == "", argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- seeded argv table -----------------------------------------------------------
+
+_REFUSALS = {2: "parse error: ", 3: "bound exceeded: ", 4: "precondition violated: "}
+_CHEAP_SUITES = ("lemma22", "ordering", "specialize")
+_TABLE_FLAGS = [
+    [], ["--json"], ["--ordered"], ["--json", "--json"], ["--ordered", "--ordered"],
+    ["--ring", "generic"], ["--ring", "conway"], ["--ring", "gf:2"], ["--ring", "gf:5"], ["--ring", ""],
+    ["--ring"], ["--ring", "conway", "--ring", "gf:3"], ["--max-crossings", "24"], ["--max-crossings", ""],
+    ["--max-crossings", "3", "--max-crossings", "30"], ["--max-sing", "1"], ["--max-sing", ""],
+    ["--max-sing", "2", "--max-sing", "6"], ["--seed", "1"], ["--seed", ""], ["--version"], ["-h"], [""], ["--"],
+]
+
+
+def _table_numerals(rng):
+    # Each length plain, all ones, signed, zero-led, and with one digit
+    # from another script.
+    out = []
+    for n in (0, 1, 25, 26, 4300, 4301, 5000):
+        digits = "".join(rng.choice("0123456789") for _ in range(n))
+        out += [digits, "1" * n, "-" + digits, "+" + digits, "000" + digits]
+        if n:
+            i = rng.randrange(n)
+            out.append(digits[:i] + rng.choice("\u0663\uff15\u00b2") + digits[i + 1:])
+    return out
+
+
+def _argv_table(seed=2727):
+    rng = random.Random(seed)
+    table = [
+        [], ["--version"], ["-h"], ["unknown"], ["invariant"], ["homfly"], ["check"], ["check", "nope"],
+        ["check", "all", "--seed"], ["check", "all", "--seed", "1", "--seed", "-1"],
+        ["check", "star", "--ring", "conway"], ["check", "ordering", "--json", "--json", "--seed", "3"],
+        *(["check", suite, "--seed", "+1"] for suite in cli._SUITE_NAMES),
+        *(["check", rng.choice(_CHEAP_SUITES), *flags] for flags in _TABLE_FLAGS),
+    ]
+    slots = [
+        lambda n: ["invariant", f"{n}: t1 s1"],
+        lambda n: ["homfly", f"3: s{n} s1"],
+        lambda n: ["invariant", f"2: t1 | o = {n}"],
+        lambda n: ["invariant", "--ring", f"gf:{n}", "2: t1 s1^-1"],
+        lambda n: ["homfly", "--max-crossings", n, "2: s1 s1"],
+        lambda n: ["invariant", "--ordered", "--max-sing", n, "3: t1 t2"],
+        lambda n: ["check", rng.choice(_CHEAP_SUITES), "--seed", n],
+    ]
+    for numeral in _table_numerals(rng):
+        table += [slot(numeral) for slot in rng.sample(slots, 3)]
+    for _ in range(120):
+        link = braid.random_word(
+            rng, strands=rng.randint(2, 6), classical=rng.randint(0, 10), sing=rng.randint(0, 4),
+            shuffle_labels=rng.random() < 0.5,
+        )
+        tokens = [tok for flags in rng.sample(_TABLE_FLAGS, rng.randint(0, 3)) for tok in flags]
+        split = rng.randint(0, len(tokens))
+        table.append([rng.choice(["invariant", "homfly"]), *tokens[:split], str(link), *tokens[split:]])
+    return table
+
+
+def test_argv_table_ends_cleanly():
+    # Every argv answers, or refuses with its exit code, nothing on stdout
+    # and one line of stderr: the program's own refusal, or argparse's
+    # usage and one "error:" line.  No inputs of the table hold "_", so an
+    # underscore-led name in stderr is the program's own.
+    for argv in _argv_table():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        shown = [arg[:30] for arg in argv]
+        assert code in (0, 2, 3, 4), (shown, err[-300:])
+        assert "Traceback" not in err and not re.search(r"\b_[A-Za-z]", err), (shown, err[-300:])
+        if not code:
+            assert err == "", shown
+            continue
+        assert out == "", shown
+        lines = err.splitlines()
+        if lines[0].startswith("usage: "):
+            assert code == 2 and re.match(r"skeinforge( \w+)?: error: ", lines[-1]), (shown, lines[-1][:300])
+        else:
+            assert len(lines) == 1 and lines[0].startswith(_REFUSALS[code]), (shown, err[:300])
 
 
 # -- JSON --------------------------------------------------------------------

@@ -351,10 +351,21 @@ def test_ring_axioms(data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(MODES), st.integers(0, 40), st.integers(0, 40))
 def test_powers_are_multiplicative(ring, j, k):
-    # delta_pow and denom_pow square and multiply afresh on every call.
+    # delta_pow and denom_pow write their binomial terms afresh on every call.
     assert ring.delta_pow(j + k) == ring.delta_pow(j) * ring.delta_pow(k)
     assert ring.denom_pow(k + 1) == ring.denom_pow(k) * ring.denom
     assert ring.delta_pow(0) == ring.denom_pow(0) == ring.one
+
+
+@pytest.mark.parametrize("ring", MODES, ids=lambda ring: ring.name)
+def test_powers_are_the_repeated_products(ring):
+    # The binomial terms against the k-fold products of delta and D; in
+    # conway delta = 0, so delta^k = 0 for k >= 1.
+    delta_k = denom_k = ring.one
+    for k in range(13):
+        assert ring.delta_pow(k) == delta_k, k
+        assert ring.denom_pow(k) == denom_k, k
+        delta_k, denom_k = delta_k * ring.delta, denom_k * ring.denom
 
 
 # -- localized scalars ---------------------------------------------------

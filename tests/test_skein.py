@@ -422,12 +422,13 @@ def test_d_divides_the_signed_weight_sum(ring):
 
 @pytest.mark.parametrize(
     "ring,peels,certificates",
-    [(GENERIC, 11, 11), (gf(5), 19, 19), (gf(2), 39, 0), (CONWAY, 100, 0)],
+    [(GENERIC, 11, 11), (gf(5), 19, 19), (gf(2), 39, 0), (CONWAY, 0, 0)],
     ids=lambda v: getattr(v, "name", None),
 )
 def test_invariant_tries_no_failing_division(monkeypatch, ring, peels, certificates):
     # The divisions and certificates of the d = 10 word, as counted when
-    # each quotient row gathered D times the rows above it.
+    # each quotient row gathered D times the rows above it.  In conway
+    # D = -x^2 is a unit: its normal forms shift and peel nothing.
     calls = {"_peel": 0, "_off_denom": 0}
     for name in calls:
         def counted(*args, name=name, f=getattr(rings, name)):
