@@ -215,9 +215,9 @@ def main(argv=None) -> int:
     try:
         args, extras = _PARSER.parse_known_args(argv)
         if extras:
-            # An unread flag's value may have displaced the word: name the flags.
+            # An unread flag's value may have displaced the word: name the flags ('' if empty).
             flags = [a for a in extras if a.startswith("-")] or extras
-            _PARSER.error("unrecognized arguments: " + " ".join(flags))
+            _PARSER.error("unrecognized arguments: " + " ".join(a or "''" for a in flags))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

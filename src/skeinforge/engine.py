@@ -39,20 +39,25 @@ bounded by MAX_WORK for its graded pass and by MAX_CUBE_WORK for the rest.
 The trace satisfies tau(T_w) = delta tau(T_w restricted to n - 1) when
 w fixes n, and tau_n(a g_(n-1) b) = tau_(n-1)(a b) for a, b in H_(n-1),
 with no writhe factor.  So a w moving n is peeled as
-w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k),
-that product expanded with ``act``.  Trace values are the items of
-{packed exponents: coefficient} dicts, memoized by W in a table that lives
-for one call (or in the caller's ``cache``, which also keeps its ring
-under the key None), so it holds at most 1! + ... + n! entries.  W
-determines w and its length (its largest digit is n - 1), so
-permutations of different strand counts never share an entry.  The
-table is filled one strand level at a time: the level's missing
-permutations are expanded as one state, each labelled by its index in
-the grade field (0 in every expansion; ``act`` never reads it), so
-those with the same k share one ``act`` per letter, and one
-``contract`` gives every value of the level.  ``contract`` splits its
-sum by the grade field, so the same call gives the graded pass its
-weight sums and the fill its values by label.
+w = u s_(n-1) ... s_k, and tau_n(T_w) = tau_(n-1)(T_u g_(n-2) ... g_k):
+T_u's entry times delta if k = n, as it is if k = n - 1 (Markov), and
+else that product expanded with ``act``.  delta = x^(-1)(t^(-1) - t)
+stays formal, one packed shift (t x)^(-1) eps with eps = 1 - t^2 (0 in
+conway); trace values and sums hold no W, so the power of eps sits from
+bit _OE = _OW up there.  So an entry is a pair, a packed shift and the
+items of a {packed exponents: coefficient} dict, memoized by W in a
+table that lives for one call (or in the caller's ``cache``, which also
+keeps its ring under the key None), so it holds at most 1! + ... + n!
+entries.  W determines w and its length (its largest digit is n - 1),
+so permutations of different strand counts never share an entry.  The
+table is filled one strand level at a time: the level's permutations
+left are expanded as one state, each labelled by its index in the
+grade field (0 in every expansion; ``act`` never reads it), so those
+with the same k share one ``act`` per letter, and one ``contract``
+gives their values.  ``contract`` splits its sum by the grade field, so
+the same call gives the graded pass its weight sums and the fill its
+values by label.  The pass's final ``contract`` puts eps in
+(``_substitute_eps``); free strands stay one ``delta_pow`` factor.
 
 A singular letter t_i acts as 1 + Y g_i^(-1): resolution bit 0 is the
 smoothing (the identity braid) and bit 1 the negative crossing, so the
@@ -95,15 +100,17 @@ MAX_STRANDS = 2048
 MAX_WORK = 250_000
 
 # The packed key: exponents in two biased 32-bit fields, then a 16-bit
-# grade, then one 11-bit digit per strand from bit _OW up.
+# grade, then one 11-bit digit per strand from bit _OW up.  Trace values
+# and sums hold no digits: the power of eps = 1 - t^2 sits there instead.
 _F = 32
 _OG = 2 * _F
 _OW = _OG + 16
+_OE = _OW
 _WIDTH = 11
 _BIAS = 1 << (_F - 1)
 _ZERO = _BIAS << _F | _BIAS  # the exponents of t^0 x^0
+_ONE_E = 1 << _OE
 _ONE_G = 1 << _OG
-_EXPS = _ONE_G - 1
 _LOW = (1 << _OW) - 1
 _DIGIT = (1 << _WIDTH) - 1
 _MAX_GRADE = (1 << (_OW - _OG)) - 1
@@ -130,12 +137,13 @@ def homfly(
     """Polynomial of the closure of a classical word, normalized to 1 on the unknot.
 
     ``cache`` is a caller-owned trace table shared across calls in one
-    ring: it maps packed permutations to packed trace values, each the
-    ``items()`` view of a {packed exponents: c} dict (views do not
-    pickle, and compare equal as sets, not to lists), and keeps its ring
-    under the key None.  By default each call has its own.  A
-    table of another ring raises ``ValueError``.  ``bench/`` replays
-    with one until ROADMAP item 1(c) retires that replay.
+    ring: it maps packed permutations to packed trace values, each a
+    pair of a packed power of delta and the ``items()`` view of a {packed
+    exponents: c} dict, which Markov moves share (views do not pickle,
+    and compare equal as sets, not to lists), and keeps its ring under
+    the key None.  By default each call has its own.  A table of another
+    ring raises ``ValueError``.  ``bench/`` replays with one until
+    ROADMAP item 1(c) retires that replay.
     """
     if not word.is_classical:
         raise PreconditionError(
@@ -193,6 +201,23 @@ def _packed_sums(word: SingularBraidWord, ring: Ring, run: _Pass | None = None) 
         factor = ring.delta_pow(delta_pow)
         sums = [{_ZERO + e: c for e, c in _pack(_decode(ring, s) * factor)} for s in sums]
     return sums
+
+
+def _substitute_eps(packed: dict, ring: Ring) -> dict:
+    """``packed`` with eps = 1 - t^2 put in, eps^j as sum_i (-1)^i C(j, i) t^(2i); zeros and residues may stay."""
+    t2 = 0 if ring.conway else 2 << _F
+    acc: dict = {}
+    get = acc.get
+    for k, c in packed.items():
+        if not c:  # a contraction leaves cancelled terms
+            continue
+        j, e = k >> _OE, k & _ONE_E - 1
+        acc[e] = get(e, 0) + c
+        for i in range(j):  # rings._binomials' recurrence, inline: a generator per term costs 25 %
+            c = -c * (j - i) // (i + 1)
+            e += t2
+            acc[e] = get(e, 0) + c
+    return acc
 
 
 def _pack(poly: LaurentPoly) -> list[tuple[int, int]]:
@@ -291,9 +316,10 @@ class _Pass:
     ``skein.MAX_CUBE_WORK`` together.
     """
 
-    __slots__ = ("p", "steps", "delta", "table", "work", "limit", "refusal")
+    __slots__ = ("ring", "p", "steps", "delta", "table", "work", "limit", "refusal")
 
     def __init__(self, ring: Ring, table: dict, limit: int | None = None, what: str = "the Hecke pass exceeds"):
+        self.ring = ring
         p = self.p = ring.p
         # As ``_pack`` would give them: t's packed shift (t folds to 1 in
         # conway) and -1 as a residue over GF(p).
@@ -302,8 +328,8 @@ class _Pass:
         # The skein steps: smoothing and switching a positive crossing,
         # t x and t^2, then a negative one, -t^(-1) x and t^(-2).
         self.steps = ((t + 1, 1), (2 * t, 1), (1 - t, minus), (-2 * t, 1))
-        # delta = t^(-1) x^(-1) - t x^(-1), which is 0 in conway.
-        self.delta = [(-t - 1, 1), (t - 1, minus)] if t else []
+        # delta = (t x)^(-1) eps, one packed shift; None in conway, where it is 0.
+        self.delta = _ONE_E - t - 1 if t else None
         self.table = table
         self.work = 0
         self.limit = MAX_WORK if limit is None else limit
@@ -344,12 +370,13 @@ class _Pass:
         # skips it.  GF(p) reduces once per letter.
         return _canonical(out, self.p) if self.p else out
 
-    def contract(self, state: dict, parts: int) -> list[dict]:
+    def contract(self, state: dict, parts: int, formal: bool = False) -> list[dict]:
         """Sum of c t^e_t x^e_x Y^g tau(T_w) over the state, split by g; each w is tabulated.
 
         Returns ``parts`` canonical {packed exponents: c} dicts, the g-th
         holding the terms whose grade field (the power of Y, or the fill's
-        label) is g.
+        label) is g.  eps = 1 - t^2 is put in unless ``formal`` (the fill's
+        values keep it).
         """
         table = self.table
         acc: dict = {}
@@ -357,69 +384,76 @@ class _Pass:
         for key, c in state.items():
             if not c:
                 continue
-            base = (key & _LOW) - _ZERO
-            for s, f in table[key >> _OW]:
+            shift, value = table[key >> _OW]
+            base = (key & _LOW) - _ZERO + shift
+            for s, f in value:
                 k = base + s
                 acc[k] = get(k, 0) + c * f
+        if self.delta and not formal:  # conway holds no eps
+            acc = _substitute_eps(acc, self.ring)
         p = self.p
-        og, exps = _OG, _EXPS
+        og = _OG
         split: list[dict] = [{} for _ in range(parts)]
         for k, c in acc.items():
             if c := c % p if p else c:
-                split[k >> og][k & exps] = c
+                g = k >> og & _MAX_GRADE  # the power of eps sits above it
+                split[g][k ^ g << og] = c
         return split
 
     def tabulate(self, state: dict, n: int) -> None:
         """Put the Ocneanu trace of each T_w of the state, w in S_n, in the table.
 
         The trace is normalized so the one-strand closure is 1.  Missing
-        permutations are expanded one strand level at a time, each
-        labelled by its index in the grade field, which is 0 in every
-        expansion and which ``act`` never reads.  Those that take the
-        same letters share one ``act`` per letter, and one ``contract``
-        per level (per chunk of at most _LABELS) gives all the level's
-        values, split by label.  Values are filled in from one strand
-        up, so no call nests per strand.
+        permutations are peeled one strand level at a time.  Those with
+        n - 1 at position n - 1 or n - 2 take tau(T_u)'s entry times delta
+        or as it is; the others are expanded, each labelled by its index
+        in the grade field.  Those that take the same letters share one
+        ``act`` per letter, and one ``contract`` per level (per chunk of
+        at most _LABELS) gives their values, split by label.  Values are
+        filled in from one strand up, so no call nests per strand.
         """
-        table = self.table
+        table, delta = self.table, self.delta
         levels = []
-        todo = {key >> _OW for key, c in state.items() if c}
+        todo = {key >> _OW for key, c in state.items() if c}.difference(table)
         while n > 1 and todo:
-            missing = [v for v in todo if v not in table]
+            aliases, rest = [], []
+            for v in todo:
+                # v = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
+                k = n - 1
+                while v >> _WIDTH * k & _DIGIT != n - 1:
+                    k -= 1
+                low = _WIDTH * k
+                u = (v & ((1 << low) - 1)) | (v >> (low + _WIDTH)) << low
+                if k < n - 2:
+                    rest.append((v, u, k))
+                elif k == n - 2 or delta:
+                    aliases.append((v, u, delta if k == n - 1 else 0))
+                else:  # delta is 0 in conway
+                    table[v] = (0, {}.items())
             chunks = [
                 (chunk, self._expand(chunk, n))
-                for chunk in (missing[at : at + _LABELS] for at in range(0, len(missing), _LABELS))
+                for chunk in (rest[at : at + _LABELS] for at in range(0, len(rest), _LABELS))
             ]
             # The expansions multiply by g_i only, whose steps have
             # positive coefficients, so they hold no zero.
-            todo = {key >> _OW for _, expanded in chunks for key in expanded}
-            levels.append(chunks)
+            todo = {u for _, u, _ in aliases} | {key >> _OW for _, expanded in chunks for key in expanded}
+            todo = todo.difference(table)  # by lookups in the table, not a walk over it
+            levels.append((aliases, chunks))
             n -= 1
         for v in todo:  # the identity of S_1
-            table[v] = {_ZERO: 1}.items()
-        for chunks in reversed(levels):
+            table[v] = (0, {_ZERO: 1}.items())
+        for aliases, chunks in reversed(levels):
+            for v, u, shift in aliases:
+                table[v] = (table[u][0] + shift, table[u][1])
             for chunk, expanded in chunks:
-                table.update(zip(chunk, [v.items() for v in self.contract(expanded, len(chunk))]))
+                values = self.contract(expanded, len(chunk), True)
+                table.update((v, (0, value.items())) for (v, _, _), value in zip(chunk, values))
 
     def _expand(self, chunk: list, n: int) -> dict:
-        """The trace expansions of the permutations of ``chunk``, in S_n, as one state labelled by index."""
+        """tau_(n-1)(T_u g_(n-2) ... g_(k+1)) for the (v, u, k) of ``chunk``, as one state labelled by index."""
         groups: dict = {}
-        for label, v in enumerate(chunk):
-            # v = u s_(n-1) ... s_(k+1), with n - 1 at (0-based) position k.
-            k = n - 1
-            while v >> _WIDTH * k & _DIGIT != n - 1:
-                k -= 1
-            low = _WIDTH * k
-            u = (v & ((1 << low) - 1)) | (v >> (low + _WIDTH)) << low
-            root = u << _OW | label << _OG | _ZERO
-            group = groups.setdefault(k, {})
-            # tau_n(T_v) = tau_(n-1)(T_u g_(n-2) ... g_(k+1)), which is
-            # delta tau_(n-1)(T_u) when v fixes n (k = n - 1, no g).
-            if k == n - 1:
-                for s, c in self.delta:
-                    group[root + s] = c
-            else:
-                group[root] = 1
+        for label, (_, u, k) in enumerate(chunk):
+            groups.setdefault(k, {})[u << _OW | label << _OG | _ZERO] = 1
         expanded: dict = {}
         for k, group in groups.items():
             for i in range(n - 2, k, -1):

@@ -392,7 +392,7 @@ def test_argv_table_ends_cleanly():
     # and one line of stderr: the program's own refusal, or argparse's
     # usage and one "error:" line.  No inputs of the table hold "_", so an
     # underscore-led name in stderr is the program's own.
-    for argv in _argv_table():
+    for argv in [*_argv_table(), ["homfly", "2: s1", ""]]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -407,6 +407,9 @@ def test_argv_table_ends_cleanly():
         lines = err.splitlines()
         if lines[0].startswith("usage: "):
             assert code == 2 and re.match(r"skeinforge( \w+)?: error: ", lines[-1]), (shown, lines[-1][:300])
+            if argv == ["homfly", "2: s1", ""]:
+                # An empty argument is named, not left as nothing.
+                assert lines[-1] == "skeinforge: error: unrecognized arguments: ''"
         else:
             assert len(lines) == 1 and lines[0].startswith(_REFUSALS[code]), (shown, err[:300])
 

@@ -371,14 +371,24 @@ def test_weight_sums_refuse_what_the_packed_key_cannot_hold():
         engine.weight_sums(deep, R)
 
 
+def substituted(ring, packed):
+    """The ring's value of a packed sum that holds powers of eps = 1 - t^2."""
+    return engine._decode(ring, _canonical(engine._substitute_eps(packed, ring), ring.p))
+
+
 @pytest.mark.parametrize("ring", [GENERIC, CONWAY, gf(2), gf(3), gf(5)], ids=lambda ring: ring.name)
 def test_skein_steps_are_the_packed_monomials(ring):
     # _Pass packs its steps and delta by arithmetic; they are the ring's
-    # own monomials and delta, packed.
+    # own monomials, packed, and delta's one shift, (t x)^(-1) eps, which
+    # is the ring's delta once eps = 1 - t^2 is put in (None in conway).
     run = engine._Pass(ring, {})
     monomials = ((1, 1, 1), (1, 2, 0), (-1, -1, 1), (1, -2, 0))
     assert run.steps == tuple(pair for m in monomials for pair in engine._pack(ring.monomial(*m)))
-    assert run.delta == engine._pack(ring.delta)
+    if ring.conway:
+        assert run.delta is None and ring.delta.is_zero
+    else:
+        assert run.delta == engine._ONE_E + engine._pack(ring.monomial(1, -1, -1))[0][0]
+        assert substituted(ring, {engine._ZERO + run.delta: 1}) == ring.delta
 
 
 def inverse_runs(n, *tops):
@@ -423,7 +433,9 @@ def test_trace_fill_batches_each_level(monkeypatch):
     # One expansion and contraction per permutation would make 164 act
     # and 152 contract calls in the fill of (s1 s2 s3 s4)^6.  Batched, a
     # level on n strands makes one act per letter of each group of
-    # permutations, at most (n - 1)(n - 2)/2, and one contract.
+    # permutations, at most (n - 1)(n - 2)/2, and one contract.  The
+    # permutations with n - 1 at position n - 1 or n - 2 take a smaller
+    # entry, times delta or as it is, with no act: all of S_2 does.
     fill = []
     inside = []
 
@@ -448,9 +460,9 @@ def test_trace_fill_batches_each_level(monkeypatch):
     _, run = packed_run(STRUCTURED, R)
     assert (run.work, len(run.table)) == (2_691, 153)
     names = [name for name, _ in fill]
-    assert (names.count("act"), names.count("contract")) == (10, 4)
+    assert (names.count("act"), names.count("contract")) == (10, 3)
     levels = [n for name, n in fill if name == "_expand"]
-    assert levels == [5, 4, 3, 2]
+    assert levels == [5, 4, 3]
     acts = dict.fromkeys(levels, 0)
     for name, n in fill:
         if name == "_expand":
@@ -472,8 +484,9 @@ def test_zeros_left_in_the_state_move_no_count():
     # leaves zero coefficients where t x T_w and -t x T_w meet, on
     # permutations that no other term holds.  A singular letter's copy,
     # the next act, the fill and contract skip them: each gives the same
-    # table, sums and work as on the canonical copy.  GF(p) still reduces
-    # once per letter.
+    # table of (delta shift, items) entries, Markov aliases included, and
+    # the same sums and work as on the canonical copy.  GF(p) still
+    # reduces once per letter.
     start = {engine._ZERO | sum(k << engine._WIDTH * k for k in range(4)) << engine._OW: 1}
     for ring in (R, CONWAY, gf(5)):
         run = engine._Pass(ring, {})
@@ -560,6 +573,73 @@ def test_trace_table_is_bounded_by_the_permutations():
         link = random_word(rng, strands=rng.randint(3, 6), classical=24)
         homfly(link.word, R, cache=cache)
     assert len(cache) <= 1 + 2 + 6 + 24 + 120 + 720
+
+
+@pytest.mark.parametrize("ring", [GENERIC, gf(5)], ids=lambda ring: ring.name)
+def test_minimal_permutations_tabulate_to_one_delta_power(ring):
+    # A product of distinct generators, in any order, is reduced, of
+    # length n - cycles, and its closure is the unlink of its cycles by
+    # Markov moves: the table holds delta^(cycles - 1) as one term, an
+    # eps power in the entry's shift.
+    rng = random.Random(3131)
+    for n in range(3, 10):
+        for _ in range(8):
+            w = list(range(n))
+            for i in rng.sample(range(1, n), rng.randint(0, n - 1)):
+                w[i - 1], w[i] = w[i], w[i - 1]
+            seen, cycles = set(), 0
+            for start in range(n):
+                cycles += start not in seen
+                while start not in seen:
+                    seen.add(start)
+                    start = w[start]
+            inversions = sum(a > b for k, a in enumerate(w) for b in w[k + 1 :])
+            assert inversions == n - cycles, w
+            packed = sum(w[k] << engine._WIDTH * k for k in range(n))
+            run = engine._Pass(ring, {})
+            run.tabulate({packed << engine._OW | engine._ZERO: 1}, n)
+            shift, value = run.table[packed]
+            term = engine._ZERO + (cycles - 1) * run.delta
+            assert [(s + shift, c) for s, c in value] == [(term, 1)], w
+            assert substituted(ring, {term: 1}) == ring.delta_pow(cycles - 1)
+
+
+@pytest.mark.parametrize("ring", [GENERIC, CONWAY, gf(2), gf(3), gf(5)], ids=lambda ring: ring.name)
+def test_eps_substitution_matches_delta_arithmetic(ring):
+    # A packed sum of delta^j P_j keeps delta = (t x)^(-1) eps with
+    # eps = 1 - t^2 formal, its power in the key's eps field.  With eps
+    # put in, it is sum_j delta^j P_j in the ring's own arithmetic (0 for
+    # j >= 1 in conway).
+    rng = random.Random(2929)
+    (shift, _), = engine._pack(ring.monomial(1, -1, -1))
+    for _ in range(40):
+        same_parity = rng.random() < 0.5
+        expected, packed, power = ring.zero, {}, ring.one
+        for j in range(rng.choice((1, 3, 5, 12))):
+            terms = {}
+            for _ in range(rng.choice((0, 1, 4))):
+                e_t = rng.randint(-4, 4)
+                terms[(e_t, e_t + 2 * rng.randint(-2, 2) if same_parity else rng.randint(-4, 4))] = rng.randint(-9, 9)
+            p_j = ring.poly(terms)
+            expected += power * p_j
+            power *= ring.delta
+            packed.update({(j << engine._OE) + engine._ZERO + j * shift + e: c for e, c in engine._pack(p_j)})
+        assert substituted(ring, packed) == expected
+
+
+def test_free_strands_stay_out_of_the_eps_layers(monkeypatch):
+    # The 2,046 free strands of "2048: t1 t1" are one closed-form
+    # delta_pow factor, not 2,046 more powers of eps in its weight sums.
+    powers = []
+    substitute = engine._substitute_eps
+
+    def spy(acc, ring):
+        powers.append(max(acc) >> engine._OE)
+        return substitute(acc, ring)
+
+    monkeypatch.setattr(engine, "_substitute_eps", spy)
+    engine._packed_sums(parse_word("2048: t1 t1"), R)
+    assert powers == [1]
 
 
 def test_table_values():
